@@ -7,35 +7,20 @@ finite cover certifying the separation, and the verifier re-derives
 every claim with independent machinery.
 """
 
-from .core import (
-    Graph,
-    GraphOfGroups,
-    Word,
-    bar,
-    cyclic_reduce,
-    groupoid_inv,
-    groupoid_mul,
-    reduce_word,
-)
+from .core import Graph, GraphOfGroups, Word, bar
 from .oracles import (
     FiniteGroup,
     FreeGroup,
     IntGroup,
     SubgroupHandle,
     VertexGroup,
-    canonical_rep,
-    coset_reps,
-    member,
     oracle_from_json,
-    separate_in_vertex_group,
     subgroup_generate,
-    subgroup_index,
 )
 from .morphism import (
     CheckReport,
     DecoratedMorphism,
     LiftOutcome,
-    canonicalize_delta,
     check_cover,
     check_immersion,
     identity_morphism,
@@ -91,26 +76,16 @@ __all__ = [
     "GraphOfGroups",
     "Word",
     "bar",
-    "cyclic_reduce",
-    "groupoid_inv",
-    "groupoid_mul",
-    "reduce_word",
     "FiniteGroup",
     "FreeGroup",
     "IntGroup",
     "SubgroupHandle",
     "VertexGroup",
-    "canonical_rep",
-    "coset_reps",
-    "member",
     "oracle_from_json",
-    "separate_in_vertex_group",
     "subgroup_generate",
-    "subgroup_index",
     "CheckReport",
     "DecoratedMorphism",
     "LiftOutcome",
-    "canonicalize_delta",
     "check_cover",
     "check_immersion",
     "identity_morphism",

@@ -106,8 +106,9 @@ def cmd_index(args) -> int:
         v: m.vgroup_image[v].index() for v in m.domain.graph.vertices
     }
     out = {"vertex_indices": per_vertex}
-    if check_cover(m).ok:
-        out["cover_degree"] = cover_index(m)
+    report = check_cover(m)
+    if report.ok:
+        out["cover_degree"] = report.degree
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -30,17 +30,34 @@ __all__ = [
     "GraphOfGroups",
     "Word",
     "bar",
-    "validate",
-    "reduce_word",
-    "cyclic_reduce",
-    "groupoid_mul",
-    "groupoid_inv",
 ]
 
 
 def bar(edge: str) -> str:
     """The reverse of a directed edge id."""
     return edge[1:] if edge.startswith("~") else "~" + edge
+
+
+def fresh_names(taken):
+    """A namer whose call ``fresh(prefix)`` returns the first ``prefix<i>``,
+    i >= 1, that is neither in ``taken`` nor returned before.
+
+    The names in use only grow, so the first free index of a prefix never
+    goes down: each prefix resumes its scan where its last name was found.
+    """
+    taken = set(taken)
+    next_index = {}
+
+    def fresh(prefix: str) -> str:
+        i = next_index.get(prefix, 1)
+        while f"{prefix}{i}" in taken:
+            i += 1
+        next_index[prefix] = i + 1
+        name = f"{prefix}{i}"
+        taken.add(name)
+        return name
+
+    return fresh
 
 
 class Graph:
@@ -308,27 +325,3 @@ class Word:
 
     def __repr__(self):
         return f"Word({self.start!r}, {self.as_strings()})"
-
-
-def validate(gog: GraphOfGroups, w: Word):
-    """Check chain consistency and letter membership; describe endpoints."""
-    if w.gog is not gog:
-        raise GogsepError("word belongs to a different graph of groups")
-    w.validate()
-    return {"start": w.start, "end": w.end, "is_loop": w.is_loop()}
-
-
-def reduce_word(w: Word) -> Word:
-    return w.reduce()
-
-
-def cyclic_reduce(l: Word) -> Word:
-    return l.cyclic_reduce()
-
-
-def groupoid_mul(a: Word, b: Word) -> Word:
-    return a * b
-
-
-def groupoid_inv(w: Word) -> Word:
-    return w.inverse()

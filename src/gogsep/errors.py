@@ -31,7 +31,7 @@ class ElementOutOfGroup(GogsepError):
 
 
 class ComposabilityError(GogsepError):
-    """groupoid_mul of words whose endpoints do not match."""
+    """Multiplying words (``Word.__mul__``) whose endpoints do not match."""
 
 
 class EndpointMismatch(GogsepError):
@@ -47,7 +47,7 @@ class UntracedCoset(GogsepError):
 
 
 class NotSeparated(GogsepError):
-    """separate_in_vertex_group precondition failure: X meets the subgroup."""
+    """``SubgroupHandle.separate`` precondition failure: X meets the subgroup."""
 
 
 class NotAnImmersion(GogsepError):
@@ -68,10 +68,6 @@ class AlreadyMember(GogsepError):
 
 class UnboundedEnumeration(GogsepError):
     """Enumeration over an infinite vertex group without an element bound."""
-
-
-class NonIdentityLambda(GogsepError):
-    """Algorithms require the identity-lambda normal form of a morphism."""
 
 
 class DidNotClose(GogsepError):

@@ -4,9 +4,7 @@ A morphism from a domain graph of groups into a target carries, on top
 of the graph map, one subgroup handle per domain vertex (the domain
 vertex group, represented literally as a subgroup of the target vertex
 group it maps into) and one target element delta_e per directed domain
-edge, placed in the group at the image of iota(e).  Base-change loops
-lambda_v are kept in the data model but normalized to identity; every
-algorithm here requires that normal form.
+edge, placed in the group at the image of iota(e).
 
 Right cosets S*delta rule all coset bookkeeping.  The induced map on
 words sends a group letter to itself and a domain edge e to
@@ -29,11 +27,8 @@ from .errors import (
     EndpointMismatch,
     ElementOutOfGroup,
     GogsepError,
-    InfiniteIndex,
     InfiniteIndexVertex,
-    NonIdentityLambda,
     NotAnImmersion,
-    UntracedCoset,
 )
 from .oracles import SubgroupHandle
 
@@ -42,7 +37,6 @@ __all__ = [
     "CheckReport",
     "LiftOutcome",
     "identity_morphism",
-    "canonicalize_delta",
     "local_map",
     "check_immersion",
     "check_cover",
@@ -51,14 +45,6 @@ __all__ = [
     "subgroup_member",
     "subgroup_generators",
 ]
-
-
-def canonicalize_delta(handle: SubgroupHandle, d):
-    """Transversal representative of S*d when available, else d as given."""
-    try:
-        return handle.canonical_rep(d)
-    except (InfiniteIndex, UntracedCoset):
-        return d
 
 
 class DecoratedMorphism:
@@ -72,7 +58,6 @@ class DecoratedMorphism:
         edge_map: dict,
         vgroup_image: dict,
         delta: dict,
-        lam: Optional[dict] = None,
     ):
         self.domain = domain
         self.target = target
@@ -80,7 +65,6 @@ class DecoratedMorphism:
         self.edge_map = dict(edge_map)
         self.vgroup_image = dict(vgroup_image)
         self.delta = dict(delta)
-        self.lam = dict(lam) if lam else None
         self.validate()
 
     # -- structural validity ------------------------------------------------
@@ -113,25 +97,6 @@ class DecoratedMorphism:
             d = self.delta.get(e)
             oracle = self.target.group_at(tgt.iota(f))
             oracle.check(d)
-        if self.lam:
-            for v, loop in self.lam.items():
-                if not dom.has_vertex(v):
-                    raise GogsepError(f"lambda at unknown vertex {v!r}")
-                if (
-                    not isinstance(loop, Word)
-                    or loop.start != self.vertex_map[v]
-                    or not loop.is_loop()
-                ):
-                    raise GogsepError(f"lambda at {v!r} is not a loop at the image")
-        return self
-
-    def require_identity_lambda(self):
-        if self.lam:
-            for v, loop in self.lam.items():
-                if not loop.is_identity_loop():
-                    raise NonIdentityLambda(
-                        f"lambda at {v!r} is not the identity loop"
-                    )
         return self
 
     # -- conveniences --------------------------------------------------------
@@ -161,7 +126,6 @@ class DecoratedMorphism:
             edge_map=self.edge_map,
             vgroup_image=self.vgroup_image,
             delta=self.delta,
-            lam=self.lam,
         )
         data.update(overrides)
         return DecoratedMorphism(**data)
@@ -171,6 +135,7 @@ class DecoratedMorphism:
 class CheckReport:
     ok: bool
     violations: list = field(default_factory=list)
+    degree: Optional[int] = None  # set by a passing check_cover
 
     def __bool__(self):
         return self.ok
@@ -227,7 +192,6 @@ def local_map(m: DecoratedMorphism, v: str, f: str):
 
 def check_immersion(m: DecoratedMorphism) -> CheckReport:
     """Local injectivity: lifts of one target edge occupy distinct cosets."""
-    m.validate()
     violations = []
     for v in m.domain.graph.vertices:
         handle = m.vgroup_image[v]
@@ -247,7 +211,11 @@ def check_immersion(m: DecoratedMorphism) -> CheckReport:
 
 
 def check_cover(m: DecoratedMorphism) -> CheckReport:
-    """Local bijectivity: at every vertex the lifts exhaust the cosets."""
+    """Local bijectivity: at every vertex the lifts exhaust the cosets.
+
+    A passing report also carries the degree, the summed coset count over
+    one fiber; every fiber has that count (see ``folding.cover_index``).
+    """
     report = check_immersion(m)
     if not report.ok:
         return report
@@ -257,10 +225,13 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
                 f"subgroup at {v!r} has infinite index; no finite cover exists"
             )
     violations = []
+    fiber_count = {}
     for v in m.domain.graph.vertices:
         handle = m.vgroup_image[v]
         need = handle.index()
-        for f in m.target.graph.edges_at(m.phi_v(v)):
+        u = m.phi_v(v)
+        fiber_count[u] = fiber_count.get(u, 0) + need
+        for f in m.target.graph.edges_at(u):
             entries = local_map(m, v, f)
             if len(entries) != need:
                 present = {handle.canonical_rep(d) for _, d in entries}
@@ -274,12 +245,13 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
                         "missing": missing,
                     }
                 )
-    return CheckReport(not violations, violations)
+    if violations:
+        return CheckReport(False, violations)
+    return CheckReport(True, degree=next(iter(fiber_count.values()), 0))
 
 
 def induced_image(m: DecoratedMorphism, w: Word) -> Word:
     """Image of a domain word: letters pass through, edges pick up deltas."""
-    m.require_identity_lambda()
     if w.gog is not m.domain:
         raise GogsepError("word does not live on the morphism's domain")
     w.validate()
@@ -315,7 +287,6 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
     next target edge whose coset matches the accumulated carry is taken.
     Immersions make the matching edge unique; covers make it total.
     """
-    m.require_identity_lambda()
     if not m.domain.graph.has_vertex(u0):
         raise GogsepError(f"unknown base vertex {u0!r}")
     if g.gog is not m.target:
@@ -401,7 +372,6 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
     One loop per vertex-subgroup generator (conjugated along the spanning
     tree) and one per non-tree edge pair.
     """
-    m.require_identity_lambda()
     words, tree_edges = _tree_words(m, u0)
     dom = m.domain
     gens = []

@@ -38,11 +38,6 @@ __all__ = [
     "FreeGroup",
     "SubgroupHandle",
     "subgroup_generate",
-    "member",
-    "subgroup_index",
-    "coset_reps",
-    "canonical_rep",
-    "separate_in_vertex_group",
 ]
 
 
@@ -913,36 +908,12 @@ class FreeSubgroup(SubgroupHandle):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation names
+# module-level constructors
 
 
 def subgroup_generate(oracle: VertexGroup, generators) -> SubgroupHandle:
     """Canonical subgroup handle for the subgroup generated by ``generators``."""
     return oracle.subgroup(generators)
-
-
-def member(handle: SubgroupHandle, g) -> bool:
-    return handle.member(g)
-
-
-def subgroup_index(handle: SubgroupHandle):
-    return handle.index()
-
-
-def coset_reps(handle: SubgroupHandle):
-    return handle.coset_reps()
-
-
-def canonical_rep(handle: SubgroupHandle, g):
-    return handle.canonical_rep(g)
-
-
-def separate_in_vertex_group(handle: SubgroupHandle, excluded) -> SubgroupHandle:
-    """Finite-index oversubgroup of ``handle`` avoiding ``excluded``.
-
-    Precondition: no excluded element lies in the subgroup (NotSeparated).
-    """
-    return handle.separate(excluded)
 
 
 def oracle_from_json(doc, path="$", max_order=64) -> VertexGroup:

@@ -1,6 +1,6 @@
 import pytest
 
-from gogsep import Graph, GraphOfGroups, FiniteGroup, Word, bar, cyclic_reduce
+from gogsep import Graph, GraphOfGroups, FiniteGroup, Word, bar
 from gogsep.errors import (
     ComposabilityError,
     EdgeChainBroken,
@@ -107,11 +107,11 @@ def test_reduce_is_idempotent_and_order_independent(pslz, rng):
 def test_cyclic_reduce_rotates_to_the_middle():
     gog = make_pslz()
     w = W(gog, "u", "a", "e", "b", "~e", "a")
-    c = cyclic_reduce(w)
+    c = w.cyclic_reduce()
     assert c.start == "w"
     assert c.as_strings() == ["b"]
     with pytest.raises(EndpointMismatch):
-        cyclic_reduce(Word(gog, "u", ("1", "1"), ("e",)))
+        Word(gog, "u", ("1", "1"), ("e",)).cyclic_reduce()
 
 
 def test_inverse_and_mul_compose():

@@ -5,7 +5,6 @@ from gogsep import (
     Graph,
     GraphOfGroups,
     Word,
-    canonicalize_delta,
     check_cover,
     check_immersion,
     cover_index,
@@ -14,7 +13,6 @@ from gogsep import (
     induced_image,
     lift_loop,
     local_map,
-    subgroup_generate,
     subgroup_generators,
     subgroup_member,
     wedge,
@@ -77,13 +75,6 @@ def test_local_map_lists_lifts_with_cosets(pslz):
         local_map(m, "v0", "zz")
     with pytest.raises(GogsepError):
         local_map(m, "v1_1", "e")  # e is not at the image of v1_1
-
-
-def test_canonicalize_delta(pslz, z2):
-    h = subgroup_generate(pslz.group_at("u"), [])
-    assert canonicalize_delta(h, "a") in h.coset_reps()
-    triv = subgroup_generate(z2.group_at("x"), [])
-    assert canonicalize_delta(triv, 7) == 7  # infinite index: left as is
 
 
 # -- immersion / cover checks ------------------------------------------------

@@ -5,7 +5,6 @@ from gogsep import (
     FreeGroup,
     IntGroup,
     oracle_from_json,
-    separate_in_vertex_group,
     subgroup_generate,
 )
 from gogsep.errors import (
@@ -65,9 +64,9 @@ def test_finite_subgroup_closure_and_cosets():
 def test_finite_separate_is_identity_or_fails():
     g = FiniteGroup.cyclic(6, "a")
     h = subgroup_generate(g, ["a2"])
-    assert separate_in_vertex_group(h, ["a"]) is h
+    assert h.separate(["a"]) is h
     with pytest.raises(NotSeparated):
-        separate_in_vertex_group(h, ["a4"])
+        h.separate(["a4"])
 
 
 def test_finite_conjugated_subgroup():
@@ -96,13 +95,13 @@ def test_int_subgroup_gcd_and_cosets():
 def test_int_separate_picks_modulus_above_excluded():
     g = IntGroup()
     triv = subgroup_generate(g, [])
-    k = separate_in_vertex_group(triv, [3, -5])
+    k = triv.separate([3, -5])
     assert k.modulus == 6
     assert not any(k.member(x) for x in (3, -5))
     h = subgroup_generate(g, [4])
-    assert separate_in_vertex_group(h, [2]) is h
+    assert h.separate([2]) is h
     with pytest.raises(NotSeparated):
-        separate_in_vertex_group(h, [8])
+        h.separate([8])
 
 
 def test_int_parse_and_format():
@@ -153,17 +152,17 @@ def test_free_subgroup_membership_and_index():
 def test_free_separate_builds_finite_index_overgroup():
     g = FreeGroup(2)
     h = subgroup_generate(g, [(1, 1)])
-    k = separate_in_vertex_group(h, [(1,)])
+    k = h.separate([(1,)])
     assert k.index() is not None
     assert k.member((1, 1))
     assert not k.member((1,))
     # conjugate generator, exclude the conjugated-away element
     h2 = subgroup_generate(g, [(1, 2, -1)])
-    k2 = separate_in_vertex_group(h2, [(2,)])
+    k2 = h2.separate([(2,)])
     assert k2.member((1, 2, -1)) and not k2.member((2,))
     assert k2.index() is not None
     with pytest.raises(NotSeparated):
-        separate_in_vertex_group(h, [(1, 1, 1, 1)])
+        h.separate([(1, 1, 1, 1)])
 
 
 def test_free_schreier_index_formula():

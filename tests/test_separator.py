@@ -1,20 +1,28 @@
 import dataclasses
+import json
+import sys
 
 import pytest
 
+import gogsep
 from gogsep import (
+    DecoratedMorphism,
+    Graph,
+    GraphOfGroups,
     attach_separating_path,
     check_immersion,
     fold,
+    gog_from_json,
     separate_element,
     subgroup_member,
     trim_core,
     verify_certificate,
     wedge,
+    word_from_json,
 )
 from gogsep.errors import AlreadyMember, GogsepError
 
-from conftest import W
+from conftest import INSTANCES, W
 
 
 def ab_loop(pslz):
@@ -163,6 +171,50 @@ def test_verify_rejects_broken_cover(pslz):
     assert [t["check"] for t in report.transcript] == ["structure", "cover"]
 
 
+def test_verify_rejects_cover_missing_an_edge_pair(pslz):
+    cert = separate_element(pslz, "u", [ab_loop(pslz)], W(pslz, "u", "a"), seed=0)
+    cover = cert.cover
+    old = cover.domain.graph
+    graph = Graph()
+    for v in old.vertices:
+        graph.add_vertex(v)
+    for p in old.edge_pairs():
+        if p != "c1_2":  # the domain stays connected without it
+            graph.add_edge(p, old.iota(p), old.tau(p))
+    kept = set(graph.directed_edges)
+    dropped = DecoratedMorphism(
+        GraphOfGroups(graph, cover.domain.vertex_group, base=cover.domain.base),
+        cover.target,
+        cover.vertex_map,
+        {e: f for e, f in cover.edge_map.items() if e in kept},
+        cover.vgroup_image,
+        {e: d for e, d in cover.delta.items() if e in kept},
+    )
+    report = verify_certificate(dataclasses.replace(cert, cover=dropped))
+    assert not report.ok
+    assert [(t["check"], t["ok"]) for t in report.transcript] == [
+        ("structure", True), ("cover", False),
+    ]
+
+
+def test_verify_rejects_base_vertex_over_wrong_target_vertex(pslz):
+    cert = separate_element(pslz, "u", [ab_loop(pslz)], W(pslz, "u", "a"), seed=0)
+    assert cert.cover.vertex_map["v1_1"] == "w"
+    report = verify_certificate(dataclasses.replace(cert, base_vertex="v1_1"))
+    assert not report.ok
+    assert [(t["check"], t["ok"]) for t in report.transcript] == [
+        ("structure", False), ("cover", True),
+    ]
+
+
+def test_verify_stops_at_malformed_cover(pslz):
+    cert = separate_element(pslz, "u", [ab_loop(pslz)], W(pslz, "u", "a"), seed=0)
+    del cert.cover.delta["n1"]  # data changed after construction
+    report = verify_certificate(cert)
+    assert not report.ok
+    assert [(t["check"], t["ok"]) for t in report.transcript] == [("structure", False)]
+
+
 def test_verify_rejects_member_element(pslz):
     ab = ab_loop(pslz)
     cert = separate_element(pslz, "u", [ab], W(pslz, "u", "a"), seed=0)
@@ -178,3 +230,45 @@ def test_verify_rejects_outside_generators(pslz):
     report = verify_certificate(bad)
     failed = [t["check"] for t in report.transcript if not t["ok"]]
     assert "generators" in failed
+
+
+# -- each fact checked once --------------------------------------------------
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of gogsep functions, wrapped in every module that binds them."""
+    counts = dict.fromkeys(names, 0)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        original = getattr(gogsep, name)
+        wrapper = counter(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "gogsep" or mod_name.startswith("gogsep."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+def test_verify_certificate_is_the_only_cover_check(monkeypatch):
+    def load(name):
+        return json.loads((INSTANCES / name).read_text())
+
+    target = gog_from_json(load("pslz.json"))
+    gens = [word_from_json(target, w) for w in load("pslz_gens.json")["generators"]]
+    g = word_from_json(target, load("pslz_element.json"))
+    counts = _count_calls(monkeypatch, "check_cover", "restriction_check")
+
+    cert = separate_element(target, target.base, gens, g, seed=0)
+    assert counts == {"check_cover": 1, "restriction_check": 0}
+
+    counts["check_cover"] = 0
+    assert verify_certificate(cert).ok
+    assert counts["check_cover"] == 1
