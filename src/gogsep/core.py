@@ -12,6 +12,7 @@ of path-groupoid elements.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,18 +62,22 @@ def fresh_names(taken):
 
 
 class Graph:
-    """Finite graph with involutive directed edges."""
+    """Finite graph with involutive directed edges.
+
+    Each vertex keeps the directed edges leaving it in a list sorted by
+    id, so ``edges_at`` costs O(deg v).
+    """
 
     def __init__(self):
-        self._vertices: list[str] = []
+        self._out: dict[str, list[str]] = {}  # vertex -> edges leaving it
         self._iota: dict[str, str] = {}
 
     def add_vertex(self, v: str):
         if not isinstance(v, str) or not v:
             raise GogsepError(f"vertex id must be a non-empty string: {v!r}")
-        if v in self._vertices:
+        if v in self._out:
             raise GogsepError(f"duplicate vertex {v!r}")
-        self._vertices.append(v)
+        self._out[v] = []
         return v
 
     def add_edge(self, name: str, frm: str, to: str):
@@ -82,15 +87,17 @@ class Graph:
         if name in self._iota:
             raise GogsepError(f"duplicate edge {name!r}")
         for v in (frm, to):
-            if v not in self._vertices:
+            if v not in self._out:
                 raise GogsepError(f"edge {name!r} touches unknown vertex {v!r}")
         self._iota[name] = frm
         self._iota[bar(name)] = to
+        bisect.insort(self._out[frm], name)
+        bisect.insort(self._out[to], bar(name))
         return name
 
     @property
     def vertices(self) -> list[str]:
-        return list(self._vertices)
+        return list(self._out)
 
     @property
     def directed_edges(self) -> list[str]:
@@ -101,7 +108,7 @@ class Graph:
         return sorted(e for e in self._iota if not e.startswith("~"))
 
     def has_vertex(self, v) -> bool:
-        return v in self._vertices
+        return v in self._out
 
     def has_edge(self, e) -> bool:
         return e in self._iota
@@ -115,22 +122,23 @@ class Graph:
         return self.iota(bar(e))
 
     def edges_at(self, v: str) -> list[str]:
-        """Directed edges with iota(e) = v, in sorted id order."""
-        return sorted(e for e, src in self._iota.items() if src == v)
+        """Directed edges with iota(e) = v, in sorted id order (a new list)."""
+        return list(self._out.get(v, ()))
 
     def is_connected(self) -> bool:
-        if not self._vertices:
+        if not self._out:
             return True
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
+        first = next(iter(self._out))
+        seen = {first}
+        stack = [first]
         while stack:
             v = stack.pop()
-            for e in self.edges_at(v):
-                w = self.tau(e)
+            for e in self._out[v]:
+                w = self._iota[bar(e)]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self._vertices)
+        return len(seen) == len(self._out)
 
 
 class GraphOfGroups:

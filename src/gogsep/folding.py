@@ -9,12 +9,13 @@ and the subgroup represented at the base vertex never changes.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Iterable, Sequence
 
 from .core import Graph, GraphOfGroups, Word, bar
 from .errors import EndpointMismatch, GogsepError, NotACover
-from .morphism import DecoratedMorphism, check_cover
+from .morphism import DecoratedMorphism, check_cover, coset_buckets
 from .oracles import subgroup_generate
 
 __all__ = [
@@ -93,14 +94,19 @@ def wedge(
 
 
 def _find_fold(m: DecoratedMorphism, v: str):
-    """First pair of same-coset lifts at v, scanning edges in sorted order."""
+    """First pair of same-coset lifts at v, scanning edges in sorted order.
+
+    The pair is the least (i, j) in lift order: the first two members of
+    the first coset bucket that has two.
+    """
     handle = m.vgroup_image[v]
     for f in m.target.graph.edges_at(m.phi_v(v)):
         lifts = m.edge_lifts(v, f)
-        for i in range(len(lifts)):
-            for j in range(i + 1, len(lifts)):
-                if handle.same_coset(m.delta[lifts[i]], m.delta[lifts[j]]):
-                    return lifts[i], lifts[j]
+        if len(lifts) < 2:
+            continue
+        for bucket in coset_buckets(handle, [m.delta[e] for e in lifts]):
+            if len(bucket) > 1:
+                return lifts[bucket[0]], lifts[bucket[1]]
     return None
 
 
@@ -192,36 +198,39 @@ def fold(m: DecoratedMorphism) -> DecoratedMorphism:
 
 
 def trim_core(m: DecoratedMorphism, keep: Iterable[str] = ()) -> DecoratedMorphism:
-    """Peel valence-one vertices with trivial subgroup, sparing base/keep."""
+    """Peel valence-one vertices with trivial subgroup, sparing base/keep.
+
+    The smallest peelable vertex goes first, so a tree with no protected
+    vertex keeps its largest vertex.  Valence counts and a min-heap of
+    peelable vertices make this O((V + E) log V).
+    """
     g = m.domain.graph
     protected = set(keep)
     if m.domain.base is not None:
         protected.add(m.domain.base)
     alive_vertices = set(g.vertices)
     alive_pairs = set(g.edge_pairs())
+    valence = {v: len(g.edges_at(v)) for v in alive_vertices}
 
-    def incident(v):
-        return [
-            d
-            for p in alive_pairs
-            for d in (p, bar(p))
-            if g.iota(d) == v
-        ]
+    def peelable(v):
+        return (
+            valence[v] == 1
+            and v not in protected
+            and m.vgroup_image[v].is_trivial()
+        )
 
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive_vertices):
-            if v in protected or not m.vgroup_image[v].is_trivial():
-                continue
-            edges = incident(v)
-            if len(edges) != 1:
-                continue
-            d = edges[0]
-            alive_pairs.discard(d if d in alive_pairs else bar(d))
-            alive_vertices.discard(v)
-            changed = True
-            break
+    heap = sorted(v for v in alive_vertices if peelable(v))
+    while heap:
+        v = heapq.heappop(heap)
+        if v not in alive_vertices or not peelable(v):
+            continue
+        (d,) = [e for e in g.edges_at(v) if e.removeprefix("~") in alive_pairs]
+        alive_pairs.discard(d.removeprefix("~"))
+        alive_vertices.discard(v)
+        w = g.tau(d)
+        valence[w] -= 1
+        if peelable(w):
+            heapq.heappush(heap, w)
 
     if alive_vertices == set(g.vertices):
         return m

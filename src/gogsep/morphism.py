@@ -190,23 +190,37 @@ def local_map(m: DecoratedMorphism, v: str, f: str):
     return [(e, m.delta[e]) for e in m.edge_lifts(v, f)]
 
 
+def coset_buckets(handle: SubgroupHandle, deltas) -> list:
+    """Positions of ``deltas`` grouped by right coset of ``handle``.
+
+    Buckets are listed in order of their first member, and members in
+    increasing position.
+    """
+    buckets = {}
+    for i, d in enumerate(deltas):
+        buckets.setdefault(handle.coset_key(d), []).append(i)
+    return list(buckets.values())
+
+
 def check_immersion(m: DecoratedMorphism) -> CheckReport:
     """Local injectivity: lifts of one target edge occupy distinct cosets."""
     violations = []
     for v in m.domain.graph.vertices:
         handle = m.vgroup_image[v]
         for f in m.target.graph.edges_at(m.phi_v(v)):
-            entries = local_map(m, v, f)
-            for i in range(len(entries)):
-                for j in range(i + 1, len(entries)):
-                    if handle.same_coset(entries[i][1], entries[j][1]):
-                        violations.append(
-                            {
-                                "vertex": v,
-                                "target_edge": f,
-                                "edges": (entries[i][0], entries[j][0]),
-                            }
-                        )
+            lifts = m.edge_lifts(v, f)
+            if len(lifts) < 2:
+                continue
+            pairs = sorted(
+                (i, j)
+                for bucket in coset_buckets(handle, [m.delta[e] for e in lifts])
+                for k, i in enumerate(bucket)
+                for j in bucket[k + 1:]
+            )
+            for i, j in pairs:
+                violations.append(
+                    {"vertex": v, "target_edge": f, "edges": (lifts[i], lifts[j])}
+                )
     return CheckReport(not violations, violations)
 
 
@@ -303,8 +317,9 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
     path = []
     for i, f in enumerate(g.edges):
         handle = m.vgroup_image[v]
+        key = handle.coset_key(carry)
         matches = [
-            e for e in m.edge_lifts(v, f) if handle.same_coset(carry, m.delta[e])
+            e for e in m.edge_lifts(v, f) if handle.coset_key(m.delta[e]) == key
         ]
         if not matches:
             return LiftOutcome(

@@ -11,8 +11,8 @@ All element values are plain Python data (str / int / tuple of nonzero
 ints) so equality and hashing are structural.  Every kind exposes the
 same surface: arithmetic, parsing, subgroup generation, and a subgroup
 handle with membership, index, right-coset transversals, canonical coset
-representatives and a separability routine that returns a finite-index
-oversubgroup avoiding a finite excluded set.
+representatives, hashable coset keys and a separability routine that
+returns a finite-index oversubgroup avoiding a finite excluded set.
 
 Right cosets S*t are used throughout the package.
 """
@@ -122,6 +122,14 @@ class SubgroupHandle:
         """The transversal representative t with S*g = S*t."""
         raise NotImplementedError
 
+    def coset_key(self, g):
+        """Hashable key of the right coset S*g, also at infinite index.
+
+        ``coset_key(a) == coset_key(b)`` exactly when S*a == S*b, that is
+        when a * b^-1 lies in S.
+        """
+        raise NotImplementedError
+
     def separate(self, excluded) -> "SubgroupHandle":
         """Finite-index K >= S with K disjoint from the excluded set."""
         raise NotImplementedError
@@ -144,10 +152,6 @@ class SubgroupHandle:
     def describe(self) -> str:
         gens = ", ".join(self.group.format_element(g) for g in self.generators)
         return f"<{gens}>" if gens else "<1>"
-
-    def same_coset(self, a, b) -> bool:
-        """S*a == S*b, i.e. a * b^-1 in S."""
-        return self.member(self.group.mul(a, self.group.inv(b)))
 
     def __eq__(self, other):
         return (
@@ -341,6 +345,9 @@ class FiniteSubgroup(SubgroupHandle):
         self.group.check(g)
         return self._transversal()[1][g]
 
+    def coset_key(self, g):
+        return self.canonical_rep(g)
+
     def separate(self, excluded):
         for x in excluded:
             if self.member(x):
@@ -450,6 +457,10 @@ class IntSubgroup(SubgroupHandle):
         if self.modulus == 0:
             raise InfiniteIndex("trivial subgroup of Z: cosets are untransversaled")
         return g % self.modulus
+
+    def coset_key(self, g):
+        self.group.check(g)
+        return g % self.modulus if self.modulus else g
 
     def separate(self, excluded):
         excluded = list(excluded)
@@ -605,22 +616,31 @@ def _letters(rank):
 
 
 def _trim_to_core(base, states, trans):
-    """Drop valence<=1 states other than the base, cascading."""
+    """Drop valence<=1 states other than the base, cascading.
+
+    A valence count and a worklist make this O(states + transitions);
+    the surviving core does not depend on the order of removal.
+    """
     states = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(states):
-            if s == base:
+    out = {s: [] for s in states}
+    for (s, l), t in trans.items():
+        out[s].append((l, t))
+    valence = {s: len(out[s]) for s in states}
+    work = [s for s in states if s != base and valence[s] <= 1]
+    while work:
+        s = work.pop()
+        if s not in states:
+            continue
+        states.discard(s)
+        for l, t in out[s]:
+            if (s, l) not in trans:
                 continue
-            incident = [(l, t) for (q, l), t in trans.items() if q == s]
-            if len(incident) <= 1:
-                states.discard(s)
-                for l, t in incident:
-                    del trans[(s, l)]
-                    if (t, -l) in trans:
-                        del trans[(t, -l)]
-                changed = True
+            del trans[(s, l)]
+            if (t, -l) in trans:
+                del trans[(t, -l)]
+                valence[t] -= 1
+                if t != base and valence[t] <= 1:
+                    work.append(t)
     return sorted(states), trans
 
 
@@ -762,6 +782,7 @@ class FreeSubgroup(SubgroupHandle):
             if g:
                 gens.append(g)
         super().__init__(group, tuple(gens))
+        self._spanning = None
         if _auto is not None:
             self.size, self.delta = _auto
         else:
@@ -796,7 +817,9 @@ class FreeSubgroup(SubgroupHandle):
         return self.size if self.is_complete() else None
 
     def _spanning_reps(self):
-        """BFS-tree coset representative word for every state."""
+        """BFS-tree coset representative word for every state (cached)."""
+        if self._spanning is not None:
+            return self._spanning
         reps = {0: ()}
         tree = set()
         queue = deque([0])
@@ -809,7 +832,8 @@ class FreeSubgroup(SubgroupHandle):
                     tree.add((s, l))
                     tree.add((t, -l))
                     queue.append(t)
-        return reps, tree
+        self._spanning = (reps, tree)
+        return self._spanning
 
     def coset_reps(self):
         if not self.is_complete():
@@ -826,6 +850,27 @@ class FreeSubgroup(SubgroupHandle):
             )
         reps, _ = self._spanning_reps()
         return reps[s]
+
+    def coset_key(self, g):
+        """(state where tracing g stops, unread suffix of g).
+
+        The Schreier graph of S is its core automaton with a tree hanging
+        off every missing transition.  Tracing the reduced word g from the
+        base reads a prefix inside the core and stops at a state s; the
+        unread suffix r starts with a letter missing at s and so runs down
+        the tree hanging there.  A reduced path in a tree never turns
+        back, so it cannot come back out into the core, and distinct
+        (s, r) reach distinct vertices of the tree.  Hence S*g, the vertex
+        g reaches, determines (s, r) and is determined by it.
+        """
+        self.group.check(g)
+        s = 0
+        for i, l in enumerate(g):
+            t = self.delta.get((s, l))
+            if t is None:
+                return (s, g[i:])
+            s = t
+        return (s, ())
 
     def separate(self, excluded):
         excluded = sorted(

@@ -57,8 +57,8 @@ def test_finite_subgroup_closure_and_cosets():
     reps = h.coset_reps()
     assert reps[0] == "1" and len(reps) == 2
     assert h.canonical_rep("a3") == h.canonical_rep("a5")
-    assert h.same_coset("a", "a3")
-    assert not h.same_coset("a", "a2")
+    assert h.coset_key("a") == h.coset_key("a3")
+    assert h.coset_key("a") != h.coset_key("a2")
 
 
 def test_finite_separate_is_identity_or_fails():
@@ -222,3 +222,38 @@ def test_oracle_from_json_schema_errors(doc, needle):
     with pytest.raises(SchemaError) as err:
         oracle_from_json(doc)
     assert needle in str(err.value)
+
+
+# -- coset keys --------------------------------------------------------------
+
+
+COSET_KEY_CASES = {
+    "C6 <a2>": (FiniteGroup.cyclic(6, "a"), ["a2"], None),
+    "Z 3Z": (IntGroup(), [3], 7),
+    "Z 0Z": (IntGroup(), [], 7),
+    "F2 index 2": (FreeGroup(2), [(1, 1), (2,), (1, 2, -1)], 3),
+    "F2 <x1^2>": (FreeGroup(2), [(1, 1)], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COSET_KEY_CASES))
+def test_coset_key_equal_exactly_on_right_cosets(name):
+    group, gens, bound = COSET_KEY_CASES[name]
+    h = subgroup_generate(group, gens)
+    elements = group.elements_within(bound)
+    keys = {a: h.coset_key(a) for a in elements}
+    for a in elements:
+        for b in elements:
+            same = h.member(group.mul(a, group.inv(b)))
+            assert (keys[a] == keys[b]) == same, (a, b)
+    if h.index() is not None:  # the elements meet every coset
+        assert len(set(keys.values())) == h.index()
+
+
+def test_free_coset_key_reads_off_the_core():
+    h = subgroup_generate(FreeGroup(2), [(1, 1)])  # <x1^2>: a 2-state core
+    assert h.coset_key((1, 1, 1)) == h.coset_key((1,)) == (1, ())
+    assert h.coset_key((1, 2, -1)) == (1, (2, -1))  # leaves the core at x2
+    assert h.coset_key((1, 1, 2)) == h.coset_key((2,)) == (0, (2,))
+    with pytest.raises(ForeignElement):
+        h.coset_key((1, -1))
