@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .core import Graph, GraphOfGroups, bar, fresh_names
+from .core import bar, fresh_names
 from .errors import GogsepError, InfiniteIndexVertex, NotAnImmersion
-from .morphism import CheckReport, DecoratedMorphism, check_immersion
+from .morphism import CheckReport, DecoratedMorphism, _Working, check_immersion
 
 __all__ = ["complete_to_cover", "restriction_check"]
 
@@ -45,24 +45,20 @@ def complete_to_cover(
     }
     d = max(degrees.values())
 
-    vertex_map = dict(m.vertex_map)
-    vgroup_image = dict(m.vgroup_image)
+    work = _Working.of(m)
     fresh_vertex = fresh_names(m.domain.graph.vertices)
     padding = []
     for u in sorted(tgt.vertices):
         for _ in range(d - degrees[u]):
             z = fresh_vertex("z")
-            padding.append(z)
+            padding.append((z, u))
             fibers[u].append(z)
-            vertex_map[z] = u
-            vgroup_image[z] = m.target.group_at(u).full_subgroup()
+    for z, u in sorted(padding):  # after the old vertices, in sorted order
+        work.add_vertex(z, u, m.target.group_at(u).full_subgroup())
+    vgroup_image = work.vgroup_image
 
-    edge_map = dict(m.edge_map)
-    delta = dict(m.delta)
-    new_edges = []
     fresh_edge = fresh_names(m.domain.graph.edge_pairs())
     for f in tgt.edge_pairs():
-        fb = bar(f)
         lhs = {}
         for v in sorted(fibers[tgt.iota(f)]):
             handle = vgroup_image[v]
@@ -92,35 +88,15 @@ def complete_to_cover(
 
         def slot_sort(key):
             v, rep = key
-            return (v, m.target.group_at(vertex_map[v]).sort_key(rep))
+            return (v, work.oracle_at(v).sort_key(rep))
 
         free_l.sort(key=slot_sort)
         free_r.sort(key=slot_sort)
         if seed is not None:
             random.Random(f"{seed}|{f}").shuffle(free_r)
         for (v, lrep), (w, rrep) in zip(free_l, free_r):
-            e = fresh_edge("n")
-            new_edges.append((e, v, w))
-            edge_map[e] = f
-            edge_map[bar(e)] = fb
-            delta[e] = lrep
-            delta[bar(e)] = rrep
-
-    graph = Graph()
-    for v in m.domain.graph.vertices:
-        graph.add_vertex(v)
-    for z in sorted(padding):
-        graph.add_vertex(z)
-    for p in m.domain.graph.edge_pairs():
-        graph.add_edge(p, m.domain.graph.iota(p), m.domain.graph.tau(p))
-    for e, v, w in new_edges:
-        graph.add_edge(e, v, w)
-
-    oracles = {v: m.target.group_at(vertex_map[v]) for v in graph.vertices}
-    dom = GraphOfGroups(graph, oracles, base=m.domain.base)
-    return DecoratedMorphism(
-        dom, m.target, vertex_map, edge_map, vgroup_image, delta
-    )
+            work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
+    return work.freeze()
 
 
 def restriction_check(

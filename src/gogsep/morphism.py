@@ -18,11 +18,12 @@ reduced word under an immersion is reduced.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import GraphOfGroups, Word, bar
+from .core import Graph, GraphOfGroups, Word, bar
 from .errors import (
     EndpointMismatch,
     ElementOutOfGroup,
@@ -30,7 +31,7 @@ from .errors import (
     InfiniteIndexVertex,
     NotAnImmersion,
 )
-from .oracles import SubgroupHandle
+from .oracles import SubgroupHandle, subgroup_generate
 
 __all__ = [
     "DecoratedMorphism",
@@ -129,6 +130,100 @@ class DecoratedMorphism:
         )
         data.update(overrides)
         return DecoratedMorphism(**data)
+
+
+class _Working:
+    """A morphism's data opened for editing in place, then frozen once.
+
+    The stages that reshape a morphism (wedge, fold, trim, hair, completion)
+    edit this copy: each edit touches only the vertices and edges it names,
+    and each vertex keeps its out-edges sorted by id, as ``Graph`` does.
+    ``freeze`` builds the graph, the graph of groups and the validated
+    ``DecoratedMorphism`` a single time.  Vertices keep insertion order.
+    """
+
+    def __init__(self, target: GraphOfGroups, base: Optional[str] = None):
+        self.target = target
+        self.base = base
+        self.out: dict[str, list[str]] = {}  # vertex -> edges leaving it
+        self.iota: dict[str, str] = {}
+        self.vertex_map, self.edge_map = {}, {}
+        self.vgroup_image, self.delta = {}, {}
+
+    @classmethod
+    def of(cls, m: DecoratedMorphism) -> "_Working":
+        w = cls(m.target, m.domain.base)
+        g = m.domain.graph
+        w.out = {v: g.edges_at(v) for v in g.vertices}
+        w.iota = {e: v for v, edges in w.out.items() for e in edges}
+        w.vertex_map, w.edge_map = dict(m.vertex_map), dict(m.edge_map)
+        w.vgroup_image, w.delta = dict(m.vgroup_image), dict(m.delta)
+        return w
+
+    def tau(self, e: str) -> str:
+        return self.iota[bar(e)]
+
+    def oracle_at(self, v: str):
+        return self.target.group_at(self.vertex_map[v])
+
+    def add_vertex(self, v: str, u: str, handle):
+        if v in self.out:
+            raise GogsepError(f"duplicate vertex {v!r}")
+        self.out[v] = []
+        self.vertex_map[v] = u
+        self.vgroup_image[v] = handle
+
+    def add_edge(self, e: str, frm: str, to: str, f: str, d, d_bar):
+        """The pair e: frm -> to over f, with delta d and d_bar on ~e."""
+        for x, start, image, value in ((e, frm, f, d), (bar(e), to, bar(f), d_bar)):
+            self.iota[x] = start
+            bisect.insort(self.out[start], x)
+            self.edge_map[x] = image
+            self.delta[x] = value
+
+    def drop_pair(self, e: str):
+        for x in (e, bar(e)):
+            self.out[self.iota.pop(x)].remove(x)
+            del self.edge_map[x], self.delta[x]
+
+    def drop_vertex(self, v: str):
+        del self.out[v], self.vertex_map[v], self.vgroup_image[v]
+
+    def merge(self, x2: str, x1: str, t):
+        """Identify x2 with x1 through the adjustment t, then drop x2.
+
+        Edges leaving x2 leave x1 with delta t*delta, and S_x1 grows by
+        t S_x2 t^-1.  A loop at x2 lists both its directions there, so
+        both of its ends move.
+        """
+        oracle = self.oracle_at(x1)
+        moved = self.out.pop(x2)
+        for x in moved:
+            self.iota[x] = x1
+            self.delta[x] = oracle.mul(t, self.delta[x])
+        self.out[x1] = sorted(self.out[x1] + moved)
+        conj = self.vgroup_image.pop(x2).conjugated(t)
+        self.vgroup_image[x1] = subgroup_generate(
+            oracle, tuple(self.vgroup_image[x1].generators) + tuple(conj.generators)
+        )
+        del self.vertex_map[x2]
+
+    def freeze(self) -> DecoratedMorphism:
+        graph = Graph()
+        for v in self.out:
+            graph.add_vertex(v)
+        for e, v in self.iota.items():
+            if not e.startswith("~"):
+                graph.add_edge(e, v, self.tau(e))
+        oracles = {v: self.oracle_at(v) for v in self.out}
+        return DecoratedMorphism(
+            GraphOfGroups(graph, oracles, base=self.base),
+            self.target,
+            self.vertex_map,
+            self.edge_map,
+            self.vgroup_image,
+            self.delta,
+        )
 
 
 @dataclass

@@ -901,11 +901,11 @@ class FreeSubgroup(SubgroupHandle):
             for s, t in zip(missing_src, missing_dst):
                 delta[(s, k)] = t
                 delta[(t, -k)] = s
-        result = FreeSubgroup(
-            self.group, [], _auto=_relabel_bfs(0, list(range(size)), delta, self.group.rank)
-        )
-        gens = result._schreier_generators()
-        return FreeSubgroup(self.group, gens)
+        # The completed automaton is already the folded core of the subgroup
+        # its Schreier generators make, canonically numbered: no refold.
+        auto = _relabel_bfs(0, list(range(size)), delta, self.group.rank)
+        gens = FreeSubgroup(self.group, [], _auto=auto)._schreier_generators()
+        return FreeSubgroup(self.group, gens, _auto=auto)
 
     def _schreier_generators(self):
         reps, tree = self._spanning_reps()

@@ -17,11 +17,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .completion import complete_to_cover
-from .core import Graph, GraphOfGroups, Word, bar, fresh_names
+from .core import GraphOfGroups, Word, fresh_names
 from .enlargement import enlarge, exclusion_sets
 from .errors import AlreadyMember, GogsepError
 from .folding import fold, trim_core, wedge
-from .morphism import DecoratedMorphism, check_cover, lift_loop, subgroup_member
+from .morphism import (
+    DecoratedMorphism,
+    _Working,
+    check_cover,
+    lift_loop,
+    subgroup_member,
+)
 
 __all__ = [
     "SeparationCertificate",
@@ -78,43 +84,19 @@ def attach_separating_path(m: DecoratedMorphism, u0: str, g: Word):
         return m, ("open", outcome.end_vertex)
 
     i = outcome.consumed
-    at = outcome.vertex
-    old = m.domain.graph
-    graph = Graph()
-    for v in old.vertices:
-        graph.add_vertex(v)
-    for p in old.edge_pairs():
-        graph.add_edge(p, old.iota(p), old.tau(p))
-    vertex_map = dict(m.vertex_map)
-    edge_map = dict(m.edge_map)
-    vgroup_image = dict(m.vgroup_image)
-    delta = dict(m.delta)
-    oracles = {v: m.domain.group_at(v) for v in old.vertices}
-
-    fresh_vertex = fresh_names(old.vertices)
-    fresh_edge = fresh_names(old.edge_pairs())
-    prev = at
+    w = _Working.of(m)
+    fresh_vertex = fresh_names(w.out)
+    fresh_edge = fresh_names(m.domain.graph.edge_pairs())
+    prev = outcome.vertex
     for j in range(i, g.n):
-        v = fresh_vertex("q")
-        graph.add_vertex(v)
         u = g.vertex_at(j + 1)
-        vertex_map[v] = u
-        oracles[v] = m.target.group_at(u)
-        vgroup_image[v] = m.target.group_at(u).trivial_subgroup()
-        e = fresh_edge("h")
-        graph.add_edge(e, prev, v)
-        f = g.edges[j]
-        edge_map[e] = f
-        edge_map[bar(e)] = bar(f)
-        delta[e] = outcome.carry if j == i else g.groups[j]
-        delta[bar(e)] = m.target.group_at(u).identity()
+        oracle = m.target.group_at(u)
+        v = fresh_vertex("q")
+        w.add_vertex(v, u, oracle.trivial_subgroup())
+        carry = outcome.carry if j == i else g.groups[j]
+        w.add_edge(fresh_edge("h"), prev, v, g.edges[j], carry, oracle.identity())
         prev = v
-
-    dom = GraphOfGroups(graph, oracles, base=m.domain.base)
-    grafted = DecoratedMorphism(
-        dom, m.target, vertex_map, edge_map, vgroup_image, delta
-    )
-    return grafted, ("hair", prev)
+    return w.freeze(), ("hair", prev)
 
 
 def separate_element(

@@ -100,7 +100,7 @@ def brute_member(
         fresh = []
         for x in frontier:
             for g in steps:
-                y = (g * x).reduce()
+                y = g * x  # a product of words is reduced
                 if y.n <= bound and y not in closure:
                     closure.add(y)
                     fresh.append(y)

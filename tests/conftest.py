@@ -78,6 +78,23 @@ def make_rose2():
     return GraphOfGroups(g, {"o": FiniteGroup.cyclic(1, name="C1")}, base="o")
 
 
+def pslz_conjugates(k):
+    """A fold-heavy separation case over PSL(2,Z) = C2 * C3.
+
+    H = <x a x^-1, (a b2)^k, z b z^-1> with x = (ab)^k and z = (a b2)^j a,
+    j = k // 2, and g = a b2.  Folding zips each conjugate's two halves
+    together, about 4k folds in all, and grows the C2 subgroup at the tip
+    of x and the C3 subgroup at the tip of z.
+    """
+    t = make_pslz()
+    j = k // 2
+    x_a = ["a", "e", "b", "~e"] * k + ["a"] + ["e", "b2", "~e", "a"] * k
+    ab2 = ["a", "e", "b2", "~e"] * k + ["1"]
+    z_b = ["a", "e", "b2", "~e"] * j + ["a", "e", "b", "~e", "a"] + ["e", "b", "~e", "a"] * j
+    gens = [W(t, "u", *x_a), W(t, "u", *ab2), W(t, "u", *z_b)]
+    return t, "u", gens, W(t, "u", "a", "e", "b2", "~e", "1")
+
+
 def make_f2c2():
     g = Graph()
     g.add_vertex("x")

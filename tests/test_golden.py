@@ -23,7 +23,7 @@ from gogsep import (
 )
 from gogsep.jsonio import dumps
 
-from conftest import INSTANCES, W, make_rose2
+from conftest import INSTANCES, W, make_rose2, pslz_conjugates
 
 
 def _pslz_instance():
@@ -65,6 +65,11 @@ GOLDEN = {
     "pslz": (
         _pslz_instance,
         "43cae7ff465756382f88db8bd08c3de9e38b206e90e9a810fed321a97e1b2b2e",
+    ),
+    # 125 folds, two of which grow a vertex group; the pslz instance makes no fold
+    "pslz-folds": (
+        lambda: pslz_conjugates(30),
+        "3322566c26334b574e526df4fd66faaf83a942a4904ec63bde978f8a897bbf03",
     ),
     "rose2": (
         _rose2_instance,

@@ -21,6 +21,7 @@ from gogsep import (
     wedge,
 )
 from gogsep.folding import _find_fold, _fold_once, trim_core
+from gogsep.morphism import _Working
 from gogsep.oracles import _trim_to_core
 
 from conftest import gen_corpus, make_f2c2, make_pslz, make_z2
@@ -248,10 +249,12 @@ def test_fold_pairs_and_violations_match_the_pairwise_scan(name, seed, count):
             for f, a, b in pairs[v]
         ]
         assert check_immersion(m).violations == violations
+        w = _Working.of(m)
         for v, found in pairs.items():
-            assert _find_fold(m, v) == (found[0][1:] if found else None)
+            assert _find_fold(w, v) == (found[0][1:] if found else None)
         folding = [v for v in sorted(m.domain.graph.vertices) if pairs[v]]
         if not folding:
             break
         v = folding[0]
-        m, _ = _fold_once(m, v, *pairs[v][0][1:])
+        _fold_once(w, v, *pairs[v][0][1:])
+        m = w.freeze()

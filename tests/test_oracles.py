@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogsep import (
     FiniteGroup,
@@ -15,6 +17,7 @@ from gogsep.errors import (
     SchemaError,
     UntracedCoset,
 )
+from gogsep.oracles import _reduce_free
 
 
 # -- finite kind -------------------------------------------------------------
@@ -163,6 +166,36 @@ def test_free_separate_builds_finite_index_overgroup():
     assert k2.index() is not None
     with pytest.raises(NotSeparated):
         h.separate([(1, 1, 1, 1)])
+
+
+def _free_words(rank, max_size):
+    letters = [k for k in range(-rank, rank + 1) if k]
+    return st.lists(st.sampled_from(letters), max_size=max_size).map(
+        lambda w: _reduce_free(tuple(w))
+    )
+
+
+@st.composite
+def free_separations(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    gens = draw(st.lists(_free_words(rank, 5), max_size=3))
+    excluded = draw(st.lists(_free_words(rank, 6), max_size=3))
+    return rank, gens, excluded
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(free_separations())
+def test_free_separate_equals_a_refold_of_its_generators(case):
+    rank, gens, excluded = case
+    g = FreeGroup(rank)
+    h = subgroup_generate(g, gens)
+    excluded = [x for x in excluded if not h.member(x)]
+    k = h.separate(excluded)
+    refold = subgroup_generate(g, k.generators)
+    assert (k.size, k.delta, k.generators) == (refold.size, refold.delta, refold.generators)
+    assert k.canonical_key() == refold.canonical_key()
+    assert k.index() is not None
+    assert not any(k.member(x) for x in excluded)
 
 
 def test_free_schreier_index_formula():

@@ -22,7 +22,7 @@ from gogsep import (
 )
 from gogsep.errors import AlreadyMember, GogsepError
 
-from conftest import INSTANCES, W
+from conftest import INSTANCES, W, pslz_conjugates
 
 
 def ab_loop(pslz):
@@ -272,3 +272,29 @@ def test_verify_certificate_is_the_only_cover_check(monkeypatch):
     counts["check_cover"] = 0
     assert verify_certificate(cert).ok
     assert counts["check_cover"] == 1
+
+
+def test_fold_validates_once_however_many_folds(monkeypatch):
+    """Folds edit a working copy; only the frozen result is validated."""
+    counts = {"validate": 0}
+    original = DecoratedMorphism.validate
+
+    def counted(self):
+        counts["validate"] += 1
+        return original(self)
+
+    monkeypatch.setattr(DecoratedMorphism, "validate", counted)
+    per_run = []
+    for k in (10, 30):
+        target, u0, gens, g = pslz_conjugates(k)
+        m = wedge(target, u0, gens)
+        counts["validate"] = 0
+        folded = fold(m)
+        assert counts["validate"] == 1
+        if k == 30:  # each fold removes one edge pair
+            assert len(m.domain.graph.edge_pairs()) - len(folded.domain.graph.edge_pairs()) >= 100
+        counts["validate"] = 0
+        separate_element(target, u0, gens, g, seed=0)
+        per_run.append(counts["validate"])
+    # wedge, fold, enlarge, complete and verify's structure step
+    assert per_run == [5, 5]
