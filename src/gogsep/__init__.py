@@ -26,7 +26,6 @@ from .morphism import (
     identity_morphism,
     induced_image,
     lift_loop,
-    local_map,
     subgroup_generators,
     subgroup_member,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "identity_morphism",
     "induced_image",
     "lift_loop",
-    "local_map",
     "subgroup_generators",
     "subgroup_member",
     "cover_index",

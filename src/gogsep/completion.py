@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import bar, fresh_names
 from .errors import GogsepError, InfiniteIndexVertex, NotAnImmersion
-from .morphism import CheckReport, DecoratedMorphism, _Working, check_immersion
+from .morphism import CheckReport, DecoratedMorphism, _Working, lifts_by_edge
 
 __all__ = ["complete_to_cover", "restriction_check"]
 
@@ -25,24 +25,23 @@ def complete_to_cover(
 ) -> DecoratedMorphism:
     """Complete a finite-index immersion to a finite cover containing it.
 
-    Only the input is checked (an immersion, every vertex subgroup of
-    finite index).  The result is a cover by construction: each slot is
-    filled exactly once.  ``check_cover`` and ``cover_index`` check it.
+    Only the input is checked: every vertex subgroup must have finite
+    index, and the slot pass raises ``NotAnImmersion`` when two lifts
+    claim one coset slot.  The result is a cover by construction: each
+    slot is filled exactly once.  ``check_cover`` and ``cover_index``
+    check it.
     """
-    report = check_immersion(m)
-    if not report.ok:
-        raise NotAnImmersion(f"cannot complete: {report.violations[:3]}")
+    tgt = m.target.graph
+    fibers = {u: [] for u in tgt.vertices}
+    degrees = dict.fromkeys(tgt.vertices, 0)
     for v in m.domain.graph.vertices:
-        if m.vgroup_image[v].index() is None:
+        index = m.vgroup_image[v].index()
+        if index is None:
             raise InfiniteIndexVertex(
                 f"subgroup at {v!r} has infinite index; completion needs finite index"
             )
-
-    tgt = m.target.graph
-    fibers = {u: m.fiber(u) for u in tgt.vertices}
-    degrees = {
-        u: sum(m.vgroup_image[v].index() for v in fibers[u]) for u in tgt.vertices
-    }
+        fibers[m.phi_v(v)].append(v)
+        degrees[m.phi_v(v)] += index
     d = max(degrees.values())
 
     work = _Working.of(m)
@@ -55,46 +54,42 @@ def complete_to_cover(
             fibers[u].append(z)
     for z, u in sorted(padding):  # after the old vertices, in sorted order
         work.add_vertex(z, u, m.target.group_at(u).full_subgroup())
-    vgroup_image = work.vgroup_image
 
+    def free_slots(u):
+        """{(vertex, coset key): coset rep} over the fiber of u, sorted."""
+        slots = {}
+        for v in sorted(fibers[u]):
+            handle = work.vgroup_image[v]
+            for r in handle.coset_reps():
+                slots[(v, handle.coset_key(r))] = r
+        return slots
+
+    # At finite index every coset key is some transversal rep's key, so a
+    # lift finds its slot gone only when another lift of f took it.
+    lifts = lifts_by_edge(m.domain.graph.directed_edges, m.edge_map)
     fresh_edge = fresh_names(m.domain.graph.edge_pairs())
     for f in tgt.edge_pairs():
-        lhs = {}
-        for v in sorted(fibers[tgt.iota(f)]):
-            handle = vgroup_image[v]
-            for r in handle.coset_reps():
-                lhs[(v, handle.canonical_rep(r))] = None
-        rhs = {}
-        for w in sorted(fibers[tgt.tau(f)]):
-            handle = vgroup_image[w]
-            for r in handle.coset_reps():
-                rhs[(w, handle.canonical_rep(r))] = None
-        for e in m.domain.graph.directed_edges:
-            if m.edge_map[e] != f:
-                continue
+        lhs, rhs = free_slots(tgt.iota(f)), free_slots(tgt.tau(f))
+        for e in lifts.get(f, ()):
             v, w = m.domain.graph.iota(e), m.domain.graph.tau(e)
-            lkey = (v, vgroup_image[v].canonical_rep(m.delta[e]))
-            rkey = (w, vgroup_image[w].canonical_rep(m.delta[bar(e)]))
+            lkey = (v, m.vgroup_image[v].coset_key(m.delta[e]))
+            rkey = (w, m.vgroup_image[w].coset_key(m.delta[bar(e)]))
             if lkey not in lhs or rkey not in rhs:
-                raise GogsepError(f"lift {e!r} claims a slot outside its fiber")
-            if lhs[lkey] is not None or rhs[rkey] is not None:
                 raise NotAnImmersion(f"lifts of {f!r} collide on a coset slot")
-            lhs[lkey] = e
-            rhs[rkey] = e
-        free_l = [k for k, taken in lhs.items() if taken is None]
-        free_r = [k for k, taken in rhs.items() if taken is None]
+            del lhs[lkey], rhs[rkey]
+        free_l, free_r = list(lhs.items()), list(rhs.items())
         if len(free_l) != len(free_r):
             raise GogsepError("slot counts disagree; fibers are inconsistent")
 
-        def slot_sort(key):
-            v, rep = key
+        def slot_sort(slot):
+            (v, _), rep = slot
             return (v, work.oracle_at(v).sort_key(rep))
 
         free_l.sort(key=slot_sort)
         free_r.sort(key=slot_sort)
         if seed is not None:
             random.Random(f"{seed}|{f}").shuffle(free_r)
-        for (v, lrep), (w, rrep) in zip(free_l, free_r):
+        for ((v, _), lrep), ((w, _), rrep) in zip(free_l, free_r):
             work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
     return work.freeze()
 
@@ -122,10 +117,6 @@ def restriction_check(
         if small.edge_map[e] != big.edge_map[e]:
             violations.append({"kind": "edge-image", "edge": e})
             continue
-        oracle = small.oracle_at(small.domain.graph.iota(e))
-        same = oracle.is_identity(
-            oracle.mul(small.delta[e], oracle.inv(big.delta[e]))
-        )
-        if not same:
+        if small.delta[e] != big.delta[e]:  # element values are canonical
             violations.append({"kind": "delta", "edge": e})
     return CheckReport(not violations, violations)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAnImmersion
-from .morphism import DecoratedMorphism, check_immersion, local_map
+from .morphism import DecoratedMorphism, check_immersion, lifts_by_coset
 
 __all__ = ["exclusion_sets", "enlarge"]
 
@@ -23,8 +23,8 @@ def exclusion_sets(m: DecoratedMorphism, extra: Optional[dict] = None) -> dict:
     """Per-vertex elements a finite-index overgroup must avoid.
 
     For each pair of distinct lifts of one target edge at v, both coset
-    quotients delta_i * delta_j^-1 enter the set; identity products mean
-    the morphism was not an immersion to begin with.  ``extra`` adds
+    quotients delta_i * delta_j^-1 enter the set; two lifts in one coset
+    mean the morphism was not an immersion to begin with.  ``extra`` adds
     caller-chosen elements (e.g. the non-member witness at the base).
     """
     extra = extra or {}
@@ -33,21 +33,21 @@ def exclusion_sets(m: DecoratedMorphism, extra: Optional[dict] = None) -> dict:
         oracle = m.oracle_at(v)
         handle = m.vgroup_image[v]
         seen = set()
-        for f in m.target.graph.edges_at(m.phi_v(v)):
-            entries = local_map(m, v, f)
-            for i in range(len(entries)):
-                for j in range(len(entries)):
-                    if i == j:
-                        continue
-                    q = oracle.mul(
-                        entries[i][1], oracle.inv(entries[j][1])
+        by_edge = m.lifts_at(v)
+        for f in sorted(by_edge):
+            lifts = by_edge[f]
+            if len(lifts) < 2:
+                continue
+            for bucket in lifts_by_coset(handle, lifts, m.delta).values():
+                if len(bucket) > 1:
+                    raise NotAnImmersion(
+                        f"lifts {bucket[0]!r}, {bucket[1]!r} of {f!r} "
+                        f"share a coset at {v!r}"
                     )
-                    if oracle.is_identity(q) or handle.member(q):
-                        raise NotAnImmersion(
-                            f"lifts {entries[i][0]!r}, {entries[j][0]!r} of {f!r} "
-                            f"share a coset at {v!r}"
-                        )
-                    seen.add(q)
+            for a in lifts:
+                for b in lifts:
+                    if a != b:
+                        seen.add(oracle.mul(m.delta[a], oracle.inv(m.delta[b])))
         for x in extra.get(v, ()):
             oracle.check(x)
             seen.add(x)

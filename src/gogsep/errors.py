@@ -42,10 +42,6 @@ class InfiniteIndex(GogsepError):
     """A finite-index-only operation hit an infinite-index subgroup."""
 
 
-class UntracedCoset(GogsepError):
-    """free kind: coset has no representative in the partial core automaton."""
-
-
 class NotSeparated(GogsepError):
     """``SubgroupHandle.separate`` precondition failure: X meets the subgroup."""
 

@@ -15,7 +15,13 @@ from typing import Iterable, Sequence
 
 from .core import GraphOfGroups, Word, bar
 from .errors import EndpointMismatch, GogsepError, NotACover
-from .morphism import DecoratedMorphism, _Working, check_cover, coset_buckets
+from .morphism import (
+    DecoratedMorphism,
+    _Working,
+    check_cover,
+    lifts_by_coset,
+    lifts_by_edge,
+)
 from .oracles import subgroup_generate
 
 __all__ = [
@@ -89,16 +95,13 @@ def _find_fold(w: _Working, v: str):
     the first coset bucket that has two.
     """
     handle = w.vgroup_image[v]
-    lifts = {}
-    for e in w.out[v]:
-        lifts.setdefault(w.edge_map[e], []).append(e)
+    lifts = lifts_by_edge(w.out[v], w.edge_map)
     for f in sorted(lifts):
-        es = lifts[f]
-        if len(es) < 2:
+        if len(lifts[f]) < 2:
             continue
-        for bucket in coset_buckets(handle, [w.delta[e] for e in es]):
+        for bucket in lifts_by_coset(handle, lifts[f], w.delta).values():
             if len(bucket) > 1:
-                return es[bucket[0]], es[bucket[1]]
+                return bucket[0], bucket[1]
     return None
 
 

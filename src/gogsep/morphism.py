@@ -38,7 +38,6 @@ __all__ = [
     "CheckReport",
     "LiftOutcome",
     "identity_morphism",
-    "local_map",
     "check_immersion",
     "check_cover",
     "induced_image",
@@ -115,9 +114,9 @@ class DecoratedMorphism:
     def fiber(self, u: str) -> list[str]:
         return sorted(v for v in self.domain.graph.vertices if self.vertex_map[v] == u)
 
-    def edge_lifts(self, v: str, f: str) -> list[str]:
-        """Domain edges at v mapping onto the target edge f, sorted."""
-        return [e for e in self.domain.graph.edges_at(v) if self.edge_map[e] == f]
+    def lifts_at(self, v: str) -> dict:
+        """{f: lifts of f at v}, for each target edge f lifted at v, sorted by id."""
+        return lifts_by_edge(self.domain.graph.edges_at(v), self.edge_map)
 
     def copy(self, **overrides) -> "DecoratedMorphism":
         data = dict(
@@ -272,29 +271,25 @@ def identity_morphism(gog: GraphOfGroups) -> DecoratedMorphism:
     )
 
 
-def local_map(m: DecoratedMorphism, v: str, f: str):
-    """Lifts of target edge f at domain vertex v with their coset data.
-
-    Returns [(edge, delta_edge)] sorted by edge id; the coset attached to
-    a lift e is vgroup_image(v) * delta_e.
-    """
-    if not m.target.graph.has_edge(f):
-        raise GogsepError(f"unknown target edge {f!r}")
-    if m.target.graph.iota(f) != m.phi_v(v):
-        raise GogsepError(f"target edge {f!r} is not at the image of {v!r}")
-    return [(e, m.delta[e]) for e in m.edge_lifts(v, f)]
+def lifts_by_edge(edges, edge_map) -> dict:
+    """``edges`` grouped by target edge: {f: [e, ...]}, in ``edges`` order."""
+    lifts = {}
+    for e in edges:
+        lifts.setdefault(edge_map[e], []).append(e)
+    return lifts
 
 
-def coset_buckets(handle: SubgroupHandle, deltas) -> list:
-    """Positions of ``deltas`` grouped by right coset of ``handle``.
+def lifts_by_coset(handle: SubgroupHandle, lifts, delta) -> dict:
+    """``lifts`` grouped by the right coset handle * delta[e], keyed by it.
 
     Buckets are listed in order of their first member, and members in
-    increasing position.
+    ``lifts`` order, so the first two members of the first bucket with two
+    are the least such pair.
     """
     buckets = {}
-    for i, d in enumerate(deltas):
-        buckets.setdefault(handle.coset_key(d), []).append(i)
-    return list(buckets.values())
+    for e in lifts:
+        buckets.setdefault(handle.coset_key(delta[e]), []).append(e)
+    return buckets
 
 
 def check_immersion(m: DecoratedMorphism) -> CheckReport:
@@ -302,20 +297,18 @@ def check_immersion(m: DecoratedMorphism) -> CheckReport:
     violations = []
     for v in m.domain.graph.vertices:
         handle = m.vgroup_image[v]
-        for f in m.target.graph.edges_at(m.phi_v(v)):
-            lifts = m.edge_lifts(v, f)
-            if len(lifts) < 2:
+        lifts = m.lifts_at(v)
+        for f in sorted(lifts):
+            if len(lifts[f]) < 2:
                 continue
             pairs = sorted(
-                (i, j)
-                for bucket in coset_buckets(handle, [m.delta[e] for e in lifts])
-                for k, i in enumerate(bucket)
-                for j in bucket[k + 1:]
+                (a, b)
+                for bucket in lifts_by_coset(handle, lifts[f], m.delta).values()
+                for k, a in enumerate(bucket)
+                for b in bucket[k + 1:]
             )
-            for i, j in pairs:
-                violations.append(
-                    {"vertex": v, "target_edge": f, "edges": (lifts[i], lifts[j])}
-                )
+            for pair in pairs:
+                violations.append({"vertex": v, "target_edge": f, "edges": pair})
     return CheckReport(not violations, violations)
 
 
@@ -328,28 +321,30 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
     report = check_immersion(m)
     if not report.ok:
         return report
-    for v in m.domain.graph.vertices:
-        if m.vgroup_image[v].index() is None:
-            raise InfiniteIndexVertex(
-                f"subgroup at {v!r} has infinite index; no finite cover exists"
-            )
     violations = []
     fiber_count = {}
     for v in m.domain.graph.vertices:
         handle = m.vgroup_image[v]
         need = handle.index()
+        if need is None:
+            raise InfiniteIndexVertex(
+                f"subgroup at {v!r} has infinite index; no finite cover exists"
+            )
         u = m.phi_v(v)
         fiber_count[u] = fiber_count.get(u, 0) + need
+        lifts = m.lifts_at(v)
         for f in m.target.graph.edges_at(u):
-            entries = local_map(m, v, f)
-            if len(entries) != need:
-                present = {handle.canonical_rep(d) for _, d in entries}
-                missing = [r for r in handle.coset_reps() if r not in present]
+            have = lifts.get(f, [])
+            if len(have) != need:
+                held = lifts_by_coset(handle, have, m.delta)
+                missing = [
+                    r for r in handle.coset_reps() if handle.coset_key(r) not in held
+                ]
                 violations.append(
                     {
                         "vertex": v,
                         "target_edge": f,
-                        "have": len(entries),
+                        "have": len(have),
                         "need": need,
                         "missing": missing,
                     }
@@ -414,7 +409,9 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
         handle = m.vgroup_image[v]
         key = handle.coset_key(carry)
         matches = [
-            e for e in m.edge_lifts(v, f) if handle.coset_key(m.delta[e]) == key
+            e
+            for e in m.lifts_at(v).get(f, ())
+            if handle.coset_key(m.delta[e]) == key
         ]
         if not matches:
             return LiftOutcome(

@@ -10,9 +10,9 @@ Three kinds of coefficient group can sit at a vertex:
 All element values are plain Python data (str / int / tuple of nonzero
 ints) so equality and hashing are structural.  Every kind exposes the
 same surface: arithmetic, parsing, subgroup generation, and a subgroup
-handle with membership, index, right-coset transversals, canonical coset
-representatives, hashable coset keys and a separability routine that
-returns a finite-index oversubgroup avoiding a finite excluded set.
+handle with membership, index, right-coset transversals, hashable coset
+keys and a separability routine that returns a finite-index oversubgroup
+avoiding a finite excluded set.
 
 Right cosets S*t are used throughout the package.
 """
@@ -28,7 +28,6 @@ from .errors import (
     InfiniteIndex,
     NotSeparated,
     UnboundedEnumeration,
-    UntracedCoset,
 )
 
 __all__ = [
@@ -116,10 +115,6 @@ class SubgroupHandle:
 
     def coset_reps(self):
         """Right-coset transversal, identity first, deterministic order."""
-        raise NotImplementedError
-
-    def canonical_rep(self, g):
-        """The transversal representative t with S*g = S*t."""
         raise NotImplementedError
 
     def coset_key(self, g):
@@ -341,12 +336,9 @@ class FiniteSubgroup(SubgroupHandle):
     def coset_reps(self):
         return list(self._transversal()[0])
 
-    def canonical_rep(self, g):
+    def coset_key(self, g):
         self.group.check(g)
         return self._transversal()[1][g]
-
-    def coset_key(self, g):
-        return self.canonical_rep(g)
 
     def separate(self, excluded):
         for x in excluded:
@@ -451,12 +443,6 @@ class IntSubgroup(SubgroupHandle):
         if self.modulus == 0:
             raise InfiniteIndex("trivial subgroup of Z has no finite transversal")
         return list(range(self.modulus))
-
-    def canonical_rep(self, g):
-        self.group.check(g)
-        if self.modulus == 0:
-            raise InfiniteIndex("trivial subgroup of Z: cosets are untransversaled")
-        return g % self.modulus
 
     def coset_key(self, g):
         self.group.check(g)
@@ -840,16 +826,6 @@ class FreeSubgroup(SubgroupHandle):
             raise InfiniteIndex(f"{self.describe()} has infinite index")
         reps, _ = self._spanning_reps()
         return [reps[s] for s in range(self.size)]
-
-    def canonical_rep(self, g):
-        self.group.check(g)
-        s = self.trace(g)
-        if s is None:
-            raise UntracedCoset(
-                f"coset of {self.group.format_element(g)} not represented"
-            )
-        reps, _ = self._spanning_reps()
-        return reps[s]
 
     def coset_key(self, g):
         """(state where tracing g stops, unread suffix of g).

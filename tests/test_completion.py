@@ -66,8 +66,8 @@ def test_complete_fills_loop_edge_targets(rose2):
     assert cover_index(cover) == 2
     # q had no lifts at all: both fiber vertices pick one up
     for v in cover.domain.graph.vertices:
-        assert len(cover.edge_lifts(v, "q")) == 1
-        assert len(cover.edge_lifts(v, "~q")) == 1
+        assert len(cover.lifts_at(v)["q"]) == 1
+        assert len(cover.lifts_at(v)["~q"]) == 1
 
 
 def test_complete_pads_empty_fiber(z2):
@@ -100,6 +100,11 @@ def test_restriction_check_catches_tampering(pslz):
     twisted = cover.copy(delta={**cover.delta, "c1_1": "1"})
     report = restriction_check(m, twisted)
     assert not report.ok
+    assert {"kind": "delta", "edge": "c1_1"} in report.violations
+
+    foreign = cover.copy()
+    foreign.delta["c1_1"] = "zz"  # not an element of C2; set after validation
+    report = restriction_check(m, foreign)
     assert {"kind": "delta", "edge": "c1_1"} in report.violations
 
     relabeled = cover.copy(

@@ -23,7 +23,6 @@ from gogsep import (
     fold,
     wedge,
 )
-from gogsep.morphism import coset_buckets
 from gogsep.oracles import subgroup_generate
 
 from conftest import gen_corpus, make_f2c2, make_pslz, make_rose2, make_z2, pslz_conjugates
@@ -33,14 +32,15 @@ from conftest import gen_corpus, make_f2c2, make_pslz, make_rose2, make_z2, pslz
 
 
 def _ref_find_fold(m, v):
+    """The least pair (a, b) of same-coset lifts, by a pairwise member scan."""
     handle = m.vgroup_image[v]
+    oracle = handle.group
     for f in m.target.graph.edges_at(m.phi_v(v)):
-        lifts = m.edge_lifts(v, f)
-        if len(lifts) < 2:
-            continue
-        for bucket in coset_buckets(handle, [m.delta[e] for e in lifts]):
-            if len(bucket) > 1:
-                return lifts[bucket[0]], lifts[bucket[1]]
+        lifts = [e for e in m.domain.graph.edges_at(v) if m.edge_map[e] == f]
+        for i, a in enumerate(lifts):
+            for b in lifts[i + 1:]:
+                if handle.member(oracle.mul(m.delta[a], oracle.inv(m.delta[b]))):
+                    return a, b
     return None
 
 

@@ -12,7 +12,6 @@ from gogsep import (
     identity_morphism,
     induced_image,
     lift_loop,
-    local_map,
     subgroup_generators,
     subgroup_member,
     wedge,
@@ -38,7 +37,7 @@ def test_identity_morphism_is_degree_one_cover(pslz):
     assert check_cover(m).ok
     assert cover_index(m) == 1
     assert m.fiber("u") == ["u"]
-    assert m.edge_lifts("u", "e") == ["e"]
+    assert m.lifts_at("u") == {"e": ["e"]}
 
 
 def test_validate_requires_shared_oracles(pslz):
@@ -67,14 +66,11 @@ def test_validate_rejects_broken_maps(pslz):
         m.copy(delta={**m.delta, "c1_1": "b"})  # b is not in the group at u
 
 
-def test_local_map_lists_lifts_with_cosets(pslz):
+def test_lifts_at_groups_a_vertex_lifts_by_target_edge(pslz):
     m = ab_immersion(pslz)
-    entries = local_map(m, "v0", "e")
-    assert [e for e, _ in entries] == ["c1_1", "~c1_2"]
-    with pytest.raises(GogsepError):
-        local_map(m, "v0", "zz")
-    with pytest.raises(GogsepError):
-        local_map(m, "v1_1", "e")  # e is not at the image of v1_1
+    assert m.lifts_at("v0") == {"e": ["c1_1", "~c1_2"]}
+    assert m.lifts_at("v1_1") == {"~e": ["c1_2", "~c1_1"]}
+    assert [m.delta[e] for e in m.lifts_at("v0")["e"]] == ["a", "1"]
 
 
 # -- immersion / cover checks ------------------------------------------------
@@ -106,6 +102,42 @@ def test_check_cover_reports_missing_cosets(pslz):
     gap = report.violations[0]
     assert gap["have"] == 0 and gap["need"] == 2
     assert gap["missing"] == ["1", "a"]
+
+
+def _one_lift(target, u, handle, f, d, d_bar):
+    """Vertex ``d0`` over u with subgroup handle, one lift c of f to a full vertex."""
+    g = Graph()
+    g.add_vertex("d0")
+    g.add_vertex("d1")
+    g.add_edge("c", "d0", "d1")
+    u1 = target.graph.tau(f)
+    dom = GraphOfGroups(
+        g, {"d0": target.group_at(u), "d1": target.group_at(u1)}, base="d0"
+    )
+    return DecoratedMorphism(
+        dom, target, {"d0": u, "d1": u1}, {"c": f, "~c": "~" + f},
+        {"d0": handle, "d1": target.group_at(u1).full_subgroup()},
+        {"c": d, "~c": d_bar},
+    )
+
+
+def test_check_cover_missing_lists_unheld_reps_at_infinite_groups(z2, f2c2):
+    three_z = z2.group_at("x").subgroup([3])
+    m = _one_lift(z2, "x", three_z, "e", 4, 0)  # 4 holds the coset 3Z + 1
+    assert check_immersion(m).ok
+    report = check_cover(m)
+    assert report.violations == [
+        {"vertex": "d0", "target_edge": "e", "have": 1, "need": 3, "missing": [0, 2]}
+    ]
+
+    f2 = f2c2.group_at("x")
+    index_two = f2.subgroup([(1, 1), (2,), (1, 2, -1)])
+    assert index_two.coset_reps() == [(), (1,)]
+    m = _one_lift(f2c2, "x", index_two, "e", (1, 2), "1")  # H x1 x2 = H x1
+    report = check_cover(m)
+    assert report.violations == [
+        {"vertex": "d0", "target_edge": "e", "have": 1, "need": 2, "missing": [()]}
+    ]
 
 
 def test_check_cover_needs_finite_index(z2):

@@ -15,7 +15,6 @@ from gogsep.errors import (
     InfiniteIndex,
     NotSeparated,
     SchemaError,
-    UntracedCoset,
 )
 from gogsep.oracles import _reduce_free
 
@@ -59,7 +58,7 @@ def test_finite_subgroup_closure_and_cosets():
     assert h.index() == 2
     reps = h.coset_reps()
     assert reps[0] == "1" and len(reps) == 2
-    assert h.canonical_rep("a3") == h.canonical_rep("a5")
+    assert h.coset_key("a3") == h.coset_key("a5")
     assert h.coset_key("a") == h.coset_key("a3")
     assert h.coset_key("a") != h.coset_key("a2")
 
@@ -88,11 +87,11 @@ def test_int_subgroup_gcd_and_cosets():
     assert h.modulus == 2
     assert h.member(-4) and not h.member(3)
     assert h.coset_reps() == [0, 1]
-    assert h.canonical_rep(-3) == 1
+    assert h.coset_key(-3) == 1
     triv = subgroup_generate(g, [])
     assert triv.index() is None
     with pytest.raises(InfiniteIndex):
-        triv.canonical_rep(5)
+        triv.coset_reps()
 
 
 def test_int_separate_picks_modulus_above_excluded():
@@ -148,8 +147,6 @@ def test_free_subgroup_membership_and_index():
     assert h.index() is None
     full = subgroup_generate(g, [(1,), (2,)])
     assert full.index() == 1
-    with pytest.raises(UntracedCoset):
-        h.canonical_rep((2,))
 
 
 def test_free_separate_builds_finite_index_overgroup():
@@ -204,7 +201,7 @@ def test_free_schreier_index_formula():
     h = subgroup_generate(g, [(1, 1), (2,), (1, 2, -1)])
     assert h.index() == 2
     assert len(h.coset_reps()) == 2
-    assert h.canonical_rep((1, 2)) == h.canonical_rep((1,))
+    assert h.coset_key((1, 2)) == h.coset_key((1,))
 
 
 def test_free_canonical_key_is_presentation_independent():
@@ -281,6 +278,10 @@ def test_coset_key_equal_exactly_on_right_cosets(name):
             assert (keys[a] == keys[b]) == same, (a, b)
     if h.index() is not None:  # the elements meet every coset
         assert len(set(keys.values())) == h.index()
+        # completion keys its slots by the transversal's keys
+        rep_keys = [h.coset_key(r) for r in h.coset_reps()]
+        assert len(set(rep_keys)) == len(rep_keys) == h.index()
+        assert set(rep_keys) == set(keys.values())
 
 
 def test_free_coset_key_reads_off_the_core():

@@ -11,6 +11,9 @@ from gogsep import (
     GraphOfGroups,
     attach_separating_path,
     check_immersion,
+    complete_to_cover,
+    enlarge,
+    exclusion_sets,
     fold,
     gog_from_json,
     separate_element,
@@ -298,3 +301,16 @@ def test_fold_validates_once_however_many_folds(monkeypatch):
         per_run.append(counts["validate"])
     # wedge, fold, enlarge, complete and verify's structure step
     assert per_run == [5, 5]
+
+
+def test_completion_checks_immersion_in_its_slot_pass(monkeypatch):
+    """Only enlarge and verify's cover check run check_immersion."""
+    target, u0, gens, g = pslz_conjugates(30)
+    m = fold(wedge(target, u0, gens))
+    enlarged = enlarge(m, exclusion_sets(m))
+    counts = _count_calls(monkeypatch, "check_immersion")
+    complete_to_cover(enlarged, seed=0)
+    assert counts == {"check_immersion": 0}
+
+    separate_element(target, u0, gens, g, seed=0)
+    assert counts == {"check_immersion": 2}
