@@ -40,8 +40,8 @@ def complete_to_cover(
             raise InfiniteIndexVertex(
                 f"subgroup at {v!r} has infinite index; completion needs finite index"
             )
-        fibers[m.phi_v(v)].append(v)
-        degrees[m.phi_v(v)] += index
+        fibers[m.vertex_map[v]].append(v)
+        degrees[m.vertex_map[v]] += index
     d = max(degrees.values())
 
     work = _Working.of(m)

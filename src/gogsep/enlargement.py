@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAnImmersion
-from .morphism import DecoratedMorphism, check_immersion, lifts_by_coset
+from .morphism import DecoratedMorphism, _Working, check_immersion, lifts_by_coset
 
 __all__ = ["exclusion_sets", "enlarge"]
 
@@ -62,10 +62,10 @@ def enlarge(m: DecoratedMorphism, exclusions: dict) -> DecoratedMorphism:
     changes, so distinct lifts stay in distinct cosets and the result
     is again an immersion through which the original factors.
     """
-    new_vgroup = {}
-    for v in m.domain.graph.vertices:
-        new_vgroup[v] = m.vgroup_image[v].separate(exclusions.get(v, ()))
-    enlarged = m.copy(vgroup_image=new_vgroup)
+    w = _Working.of(m)
+    for v in w.out:
+        w.vgroup_image[v] = m.vgroup_image[v].separate(exclusions.get(v, ()))
+    enlarged = w.freeze()
     report = check_immersion(enlarged)
     if not report.ok:
         raise NotAnImmersion(

@@ -38,12 +38,11 @@ def wedge(
     target: GraphOfGroups,
     u0: str,
     gens: Sequence[Word],
-    base_vertex: str = "v0",
 ) -> DecoratedMorphism:
     """Wedge of decorated circles mapping the k-th circle onto gens[k].
 
     Every generator must be a loop at u0.  Length-zero generators become
-    subgroup generators at the base vertex; a loop g0 e1 g1 ... en gn
+    subgroup generators at the base vertex v0; a loop g0 e1 g1 ... en gn
     becomes a circle whose i-th edge maps to e_i, carries g_{i-1} on the
     outgoing side and identity on the incoming side, except that the
     last incoming side carries gn^-1 so the circle's image is the
@@ -51,8 +50,9 @@ def wedge(
     """
     if not target.graph.has_vertex(u0):
         raise GogsepError(f"unknown base vertex {u0!r}")
-    w = _Working(target, base_vertex)
-    w.add_vertex(base_vertex, u0, None)  # its subgroup is set below
+    base = "v0"
+    w = _Working(target, base)
+    w.add_vertex(base, u0, None)  # its subgroup is set below
     base_letters = []
     for k, g in enumerate(gens, start=1):
         if g.gog is not target:
@@ -64,7 +64,7 @@ def wedge(
             if not target.group_at(u0).is_identity(g.groups[0]):
                 base_letters.append(g.groups[0])
             continue
-        prev = base_vertex
+        prev = base
         for i in range(1, g.n + 1):
             at = g.vertex_at(i)
             oracle = target.group_at(at)
@@ -72,7 +72,7 @@ def wedge(
                 v = f"v{k}_{i}"
                 w.add_vertex(v, at, oracle.trivial_subgroup())
             else:
-                v = base_vertex
+                v = base
             w.add_edge(
                 f"c{k}_{i}",
                 prev,
@@ -82,7 +82,7 @@ def wedge(
                 oracle.inv(g.groups[g.n]) if i == g.n else oracle.identity(),
             )
             prev = v
-    w.vgroup_image[base_vertex] = subgroup_generate(
+    w.vgroup_image[base] = subgroup_generate(
         target.group_at(u0), base_letters
     )
     return w.freeze()
@@ -133,8 +133,8 @@ def _fold_once(w: _Working, v: str, e1: str, e2: str) -> str:
 def fold(m: DecoratedMorphism) -> DecoratedMorphism:
     """Fold until an immersion; the base-vertex subgroup is preserved.
 
-    The folds edit one working copy in place and it is frozen (and so
-    validated) once; with no fold to make, m itself is returned.
+    The folds edit one working copy in place and it is frozen once; with
+    no fold to make, m itself is returned.
     """
     w = _Working.of(m)
     queue = deque(sorted(w.out))

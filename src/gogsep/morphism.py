@@ -101,12 +101,6 @@ class DecoratedMorphism:
 
     # -- conveniences --------------------------------------------------------
 
-    def phi_v(self, v: str) -> str:
-        return self.vertex_map[v]
-
-    def phi_e(self, e: str) -> str:
-        return self.edge_map[e]
-
     def oracle_at(self, v: str):
         """The ambient target oracle a domain vertex maps into."""
         return self.target.group_at(self.vertex_map[v])
@@ -118,27 +112,28 @@ class DecoratedMorphism:
         """{f: lifts of f at v}, for each target edge f lifted at v, sorted by id."""
         return lifts_by_edge(self.domain.graph.edges_at(v), self.edge_map)
 
-    def copy(self, **overrides) -> "DecoratedMorphism":
-        data = dict(
-            domain=self.domain,
-            target=self.target,
-            vertex_map=self.vertex_map,
-            edge_map=self.edge_map,
-            vgroup_image=self.vgroup_image,
-            delta=self.delta,
-        )
-        data.update(overrides)
-        return DecoratedMorphism(**data)
-
 
 class _Working:
     """A morphism's data opened for editing in place, then frozen once.
 
-    The stages that reshape a morphism (wedge, fold, trim, hair, completion)
-    edit this copy: each edit touches only the vertices and edges it names,
-    and each vertex keeps its out-edges sorted by id, as ``Graph`` does.
-    ``freeze`` builds the graph, the graph of groups and the validated
-    ``DecoratedMorphism`` a single time.  Vertices keep insertion order.
+    The stages that reshape a morphism (wedge, fold, trim, hair, enlarge,
+    completion) edit this copy; each edit touches only the vertices and
+    edges it names.  ``freeze`` hands the data over unchecked, so every
+    edit keeps what ``Graph``, ``GraphOfGroups`` and
+    ``DecoratedMorphism.validate`` would otherwise check:
+
+    * each vertex's out-list holds the edges e with iota(e) at it, sorted
+      by id as ``Graph`` keeps them, and vertices keep insertion order;
+    * ``iota`` holds e exactly when it holds ~e, so tau(e) = iota(~e);
+    * every edge has an image f, with ~f the image of ~e and iota(f)
+      under iota(e), and a delta in the oracle at its start;
+    * every vertex has an image and a handle in its image's group;
+    * the domain stays connected.  Wedge circles share the base, a fold
+      merges the ends of two edges, a trim peels a leaf and a hair hangs
+      off an existing vertex.  Completion pads no fiber whose index sum
+      is the maximum d; each component of its degree-d cover of the
+      connected target meets that fiber, which lies in the original,
+      connected immersion.
     """
 
     def __init__(self, target: GraphOfGroups, base: Optional[str] = None):
@@ -208,21 +203,17 @@ class _Working:
         del self.vertex_map[x2]
 
     def freeze(self) -> DecoratedMorphism:
+        """The edited morphism, built without re-checking; this copy is spent."""
         graph = Graph()
-        for v in self.out:
-            graph.add_vertex(v)
-        for e, v in self.iota.items():
-            if not e.startswith("~"):
-                graph.add_edge(e, v, self.tau(e))
-        oracles = {v: self.oracle_at(v) for v in self.out}
-        return DecoratedMorphism(
-            GraphOfGroups(graph, oracles, base=self.base),
-            self.target,
-            self.vertex_map,
-            self.edge_map,
-            self.vgroup_image,
-            self.delta,
-        )
+        graph._out, graph._iota = self.out, self.iota
+        domain = object.__new__(GraphOfGroups)
+        domain.graph, domain.base = graph, self.base
+        domain.vertex_group = {v: self.oracle_at(v) for v in self.out}
+        m = object.__new__(DecoratedMorphism)
+        m.domain, m.target = domain, self.target
+        m.vertex_map, m.edge_map = self.vertex_map, self.edge_map
+        m.vgroup_image, m.delta = self.vgroup_image, self.delta
+        return m
 
 
 @dataclass
@@ -330,7 +321,7 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
             raise InfiniteIndexVertex(
                 f"subgroup at {v!r} has infinite index; no finite cover exists"
             )
-        u = m.phi_v(v)
+        u = m.vertex_map[v]
         fiber_count[u] = fiber_count.get(u, 0) + need
         lifts = m.lifts_at(v)
         for f in m.target.graph.edges_at(u):
@@ -367,21 +358,21 @@ def induced_image(m: DecoratedMorphism, w: Word) -> Word:
             )
     tgt = m.target
     if w.n == 0:
-        return Word(tgt, m.phi_v(w.start), (w.groups[0],), ()).reduce()
+        return Word(tgt, m.vertex_map[w.start], (w.groups[0],), ()).reduce()
     groups = []
     edges = []
     first = w.start
-    oracle = tgt.group_at(m.phi_v(first))
+    oracle = tgt.group_at(m.vertex_map[first])
     groups.append(oracle.mul(w.groups[0], m.delta[w.edges[0]]))
     for i, e in enumerate(w.edges):
-        edges.append(m.phi_e(e))
+        edges.append(m.edge_map[e])
         at = m.domain.graph.tau(e)
-        oracle = tgt.group_at(m.phi_v(at))
+        oracle = tgt.group_at(m.vertex_map[at])
         x = oracle.mul(oracle.inv(m.delta[bar(e)]), w.groups[i + 1])
         if i + 1 < w.n:
             x = oracle.mul(x, m.delta[w.edges[i + 1]])
         groups.append(x)
-    return Word(tgt, m.phi_v(first), tuple(groups), tuple(edges)).reduce()
+    return Word(tgt, m.vertex_map[first], tuple(groups), tuple(edges)).reduce()
 
 
 def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
@@ -395,9 +386,9 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
         raise GogsepError(f"unknown base vertex {u0!r}")
     if g.gog is not m.target:
         raise GogsepError("loop does not live on the morphism's target")
-    if g.start != m.phi_v(u0):
+    if g.start != m.vertex_map[u0]:
         raise EndpointMismatch(
-            f"loop starts at {g.start!r}, expected {m.phi_v(u0)!r}"
+            f"loop starts at {g.start!r}, expected {m.vertex_map[u0]!r}"
         )
     if not g.is_loop():
         raise EndpointMismatch("lift_loop needs a loop")
@@ -410,8 +401,8 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
         key = handle.coset_key(carry)
         matches = [
             e
-            for e in m.lifts_at(v).get(f, ())
-            if handle.coset_key(m.delta[e]) == key
+            for e in m.domain.graph.edges_at(v)
+            if m.edge_map[e] == f and handle.coset_key(m.delta[e]) == key
         ]
         if not matches:
             return LiftOutcome(

@@ -15,6 +15,13 @@ keys and a separability routine that returns a finite-index oversubgroup
 avoiding a finite excluded set.
 
 Right cosets S*t are used throughout the package.
+
+Element values are checked where they enter: ``parse_element``,
+``Word.validate`` in the public entry points, the deltas in
+``DecoratedMorphism(...)``, the subgroup constructors, ``member`` and
+``format_element``.  Arithmetic (``mul``, ``inv``, ``is_identity``) and
+``coset_key`` take values checked there, or computed from such values,
+and do not check them again.
 """
 
 from __future__ import annotations
@@ -59,7 +66,6 @@ class VertexGroup:
         raise NotImplementedError
 
     def is_identity(self, g):
-        self.check(g)
         return g == self.identity()
 
     def subgroup(self, generators) -> "SubgroupHandle":
@@ -243,12 +249,9 @@ class FiniteGroup(VertexGroup):
         return self._identity
 
     def mul(self, a, b):
-        self.check(a)
-        self.check(b)
         return self.table[a][b]
 
     def inv(self, a):
-        self.check(a)
         return self._inv[a]
 
     def check(self, g):
@@ -337,7 +340,6 @@ class FiniteSubgroup(SubgroupHandle):
         return list(self._transversal()[0])
 
     def coset_key(self, g):
-        self.group.check(g)
         return self._transversal()[1][g]
 
     def separate(self, excluded):
@@ -374,12 +376,9 @@ class IntGroup(VertexGroup):
         return 0
 
     def mul(self, a, b):
-        self.check(a)
-        self.check(b)
         return a + b
 
     def inv(self, a):
-        self.check(a)
         return -a
 
     def check(self, g):
@@ -445,7 +444,6 @@ class IntSubgroup(SubgroupHandle):
         return list(range(self.modulus))
 
     def coset_key(self, g):
-        self.group.check(g)
         return g % self.modulus if self.modulus else g
 
     def separate(self, excluded):
@@ -664,12 +662,9 @@ class FreeGroup(VertexGroup):
         return ()
 
     def mul(self, a, b):
-        self.check(a)
-        self.check(b)
         return _mul_free(a, b)
 
     def inv(self, a):
-        self.check(a)
         return _inv_free(a)
 
     def check(self, g):
@@ -839,7 +834,6 @@ class FreeSubgroup(SubgroupHandle):
         (s, r) reach distinct vertices of the tree.  Hence S*g, the vertex
         g reaches, determines (s, r) and is determined by it.
         """
-        self.group.check(g)
         s = 0
         for i, l in enumerate(g):
             t = self.delta.get((s, l))

@@ -365,7 +365,7 @@ def _map_tree_node(m: DecoratedMorphism, base: str, path) -> tuple:
         y = oracle.mul(x, m.delta[e])
         if prev is not None:
             y = oracle.mul(oracle.inv(m.delta[bar(prev)]), y)
-        f = m.phi_e(e)
+        f = m.edge_map[e]
         if out and f == bar(out[-1][1]) and oracle.is_identity(y):
             raise NotAnImmersion(
                 f"tree image backtracks along {e!r} at {v!r}"
@@ -407,7 +407,7 @@ def ball_map_check(
     if len(set(images)) != len(images):
         violations.append({"kind": "not-injective", "radius": radius})
     if expect_cover:
-        target_nodes = tree_ball(m.target, m.phi_v(base), radius)
+        target_nodes = tree_ball(m.target, m.vertex_map[base], radius)
         if len(domain_nodes) != len(target_nodes):
             violations.append(
                 {

@@ -4,11 +4,13 @@ from pathlib import Path
 import pytest
 
 from gogsep import (
+    DecoratedMorphism,
     FiniteGroup,
     FreeGroup,
     Graph,
     GraphOfGroups,
     IntGroup,
+    bar,
     random_loop,
     word_from_json,
 )
@@ -19,6 +21,43 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 def W(gog, start, *flat):
     """Word from its flat JSON spelling: element, edge, element, ..."""
     return word_from_json(gog, {"start": start, "word": list(flat)})
+
+
+def remake(m, **overrides):
+    """m rebuilt through the public constructor, with some data replaced."""
+    data = dict(
+        domain=m.domain,
+        target=m.target,
+        vertex_map=m.vertex_map,
+        edge_map=m.edge_map,
+        vgroup_image=m.vgroup_image,
+        delta=m.delta,
+    )
+    data.update(overrides)
+    return DecoratedMorphism(**data)
+
+
+def assert_well_built(m):
+    """The invariants a stage's frozen output carries without a check.
+
+    The morphism validates; its graph rebuilt through the public
+    constructors is connected, holds its base and has the same directed
+    edges and out-lists; each out-list is sorted; both ends of every pair
+    are present, with iota(~e) == tau(e).
+    """
+    m.validate()
+    g = m.domain.graph
+    rebuilt = Graph()
+    for v in g.vertices:
+        rebuilt.add_vertex(v)
+    for e in g.edge_pairs():
+        rebuilt.add_edge(e, g.iota(e), g.tau(e))
+    GraphOfGroups(rebuilt, m.domain.vertex_group, base=m.domain.base)
+    assert g.directed_edges == rebuilt.directed_edges
+    for v in g.vertices:
+        assert g.edges_at(v) == sorted(g.edges_at(v)) == rebuilt.edges_at(v)
+    for e in g.directed_edges:
+        assert g.has_edge(bar(e)) and g.iota(bar(e)) == g.tau(e)
 
 
 def make_pslz():

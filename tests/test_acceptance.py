@@ -47,6 +47,7 @@ from conftest import (
     make_pslz,
     make_rose2,
     make_z2,
+    remake,
 )
 
 
@@ -326,7 +327,8 @@ def test_enlargement_preserves_immersions(capsys):
                 ],
             )
         )
-        naive = m.copy(
+        naive = remake(
+            m,
             vgroup_image={**m.vgroup_image, "v0": z2.group_at("x").full_subgroup()}
         )
         if check_immersion(naive).ok:

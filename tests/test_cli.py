@@ -1,8 +1,21 @@
 import json
 
-from gogsep.cli import main
+import pytest
 
-from conftest import INSTANCES
+from gogsep import (
+    DecoratedMorphism,
+    FreeGroup,
+    Graph,
+    GraphOfGroups,
+    IntGroup,
+    Word,
+    certificate_to_json,
+    separate_element,
+)
+from gogsep.cli import main
+from gogsep.errors import ElementOutOfGroup, ForeignElement
+
+from conftest import INSTANCES, W
 
 PSLZ = str(INSTANCES / "pslz.json")
 GENS = str(INSTANCES / "pslz_gens.json")
@@ -129,6 +142,31 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
     assert main(["rank", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_unreduced_free_value_is_stopped_where_it_enters(tmp_path, capsys):
+    """coset_key and the arithmetic trust x1.x1-; every way in rejects it."""
+    graph = Graph()
+    graph.add_vertex("x")
+    graph.add_vertex("y")
+    graph.add_edge("e", "x", "y")
+    t = GraphOfGroups(graph, {"x": FreeGroup(2), "y": IntGroup()}, base="x")
+    unreduced = (1, -1)
+    with pytest.raises(ElementOutOfGroup):
+        Word(t, "x", (unreduced,), ()).validate()
+    with pytest.raises(ForeignElement):
+        DecoratedMorphism(
+            t, t, {"x": "x", "y": "y"}, {"e": "e", "~e": "~e"},
+            {v: t.group_at(v).full_subgroup() for v in ("x", "y")},
+            {"e": unreduced, "~e": 0},
+        )
+    cert = separate_element(t, "x", [W(t, "x", "x1.x1")], W(t, "x", "x1"), seed=0)
+    doc = certificate_to_json(cert)
+    cover = doc["cover"]
+    edge = next(e for e in cover["edges"] if cover["vertices"][e["from"]]["to"] == "x")
+    edge["delta"] = "x1.x1-"
+    assert main(["verify", write_json(tmp_path / "cert.json", doc)]) == 2
+    assert "schema error" in capsys.readouterr().err
 
 
 def test_enlarge_roundtrip(tmp_path, capsys):

@@ -11,7 +11,7 @@ from gogsep import (
 )
 from gogsep.errors import InfiniteIndexVertex, NotAnImmersion
 
-from conftest import W
+from conftest import W, remake
 
 
 def ab_immersion(pslz):
@@ -97,17 +97,18 @@ def test_restriction_check_catches_tampering(pslz):
     assert restriction_check(m, cover).ok
     assert restriction_check(cover, m).violations  # padding is not in m
 
-    twisted = cover.copy(delta={**cover.delta, "c1_1": "1"})
+    twisted = remake(cover, delta={**cover.delta, "c1_1": "1"})
     report = restriction_check(m, twisted)
     assert not report.ok
     assert {"kind": "delta", "edge": "c1_1"} in report.violations
 
-    foreign = cover.copy()
+    foreign = remake(cover)
     foreign.delta["c1_1"] = "zz"  # not an element of C2; set after validation
     report = restriction_check(m, foreign)
     assert {"kind": "delta", "edge": "c1_1"} in report.violations
 
-    relabeled = cover.copy(
+    relabeled = remake(
+        cover,
         vertex_map={**cover.vertex_map},
         vgroup_image={
             **cover.vgroup_image,

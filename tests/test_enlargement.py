@@ -13,7 +13,7 @@ from gogsep import (
 )
 from gogsep.errors import ForeignElement, NotAnImmersion, NotSeparated
 
-from conftest import W
+from conftest import W, remake
 
 
 def test_exclusion_sets_ab(pslz):
@@ -95,7 +95,8 @@ def test_naive_enlargement_breaks_immersion(z2):
         W(z2, "x", "1", "e", "1", "~e", "-1"),
     ]
     m = fold(wedge(z2, "x", gens))
-    naive = m.copy(
+    naive = remake(
+        m,
         vgroup_image={
             **m.vgroup_image,
             "v0": z2.group_at("x").full_subgroup(),

@@ -25,7 +25,15 @@ from gogsep import (
 )
 from gogsep.oracles import subgroup_generate
 
-from conftest import gen_corpus, make_f2c2, make_pslz, make_rose2, make_z2, pslz_conjugates
+from conftest import (
+    assert_well_built,
+    gen_corpus,
+    make_f2c2,
+    make_pslz,
+    make_rose2,
+    make_z2,
+    pslz_conjugates,
+)
 
 
 # -- the reference: rebuild and validate on every fold -------------------------
@@ -35,7 +43,7 @@ def _ref_find_fold(m, v):
     """The least pair (a, b) of same-coset lifts, by a pairwise member scan."""
     handle = m.vgroup_image[v]
     oracle = handle.group
-    for f in m.target.graph.edges_at(m.phi_v(v)):
+    for f in m.target.graph.edges_at(m.vertex_map[v]):
         lifts = [e for e in m.domain.graph.edges_at(v) if m.edge_map[e] == f]
         for i, a in enumerate(lifts):
             for b in lifts[i + 1:]:
@@ -71,7 +79,7 @@ def _ref_fold_once(m, v, e1, e2):
     if x2 == base and x1 != base:
         e1, e2 = e2, e1
         x1, x2 = x2, x1
-    far_oracle = m.target.group_at(m.phi_v(x1))
+    far_oracle = m.target.group_at(m.vertex_map[x1])
     t = far_oracle.mul(m.delta[bar(e1)], far_oracle.inv(m.delta[bar(e2)]))
     dropped = {e2, bar(e2)}
     merged = x1 != x2
@@ -196,8 +204,10 @@ def _snapshot(m):
 
 
 def _assert_same_fold(m, kinds=None):
+    assert_well_built(m)
     want = _ref_fold(m, kinds)
     got = fold(m)
+    assert_well_built(got)
     if want is m:
         assert got is m
     assert _snapshot(got) == _snapshot(want)

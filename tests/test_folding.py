@@ -19,7 +19,7 @@ from gogsep import (
 )
 from gogsep.errors import EndpointMismatch, GogsepError, NotACover
 
-from conftest import W
+from conftest import W, remake
 
 
 # -- wedge -------------------------------------------------------------------
@@ -164,7 +164,8 @@ def test_trim_core_respects_keep_and_subgroups(pslz):
     m = hair_morphism(pslz)
     t = trim_core(m, keep=["q2"])
     assert sorted(t.domain.graph.vertices) == ["q1", "q2", "v0"]
-    heavy = m.copy(
+    heavy = remake(
+        m,
         vgroup_image={**m.vgroup_image, "q2": pslz.group_at("u").full_subgroup()}
     )
     t2 = trim_core(heavy)

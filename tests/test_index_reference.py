@@ -221,7 +221,7 @@ def _same_coset_pairs(m, v):
     handle = m.vgroup_image[v]
     oracle = handle.group
     out = []
-    for f in m.target.graph.edges_at(m.phi_v(v)):
+    for f in m.target.graph.edges_at(m.vertex_map[v]):
         lifts = _lifts(m, v, f)
         for i in range(len(lifts)):
             for j in range(i + 1, len(lifts)):

@@ -22,7 +22,7 @@ from gogsep.errors import (
     GogsepError,
     InfiniteIndexVertex,
 )
-from conftest import W
+from conftest import W, remake
 
 
 def ab_immersion(pslz):
@@ -57,13 +57,13 @@ def test_validate_requires_shared_oracles(pslz):
 def test_validate_rejects_broken_maps(pslz):
     m = ab_immersion(pslz)
     with pytest.raises(GogsepError):
-        m.copy(vertex_map={**m.vertex_map, "v0": "nowhere"})
+        remake(m, vertex_map={**m.vertex_map, "v0": "nowhere"})
     bad_edges = dict(m.edge_map)
     bad_edges["~c1_1"] = "e"  # breaks the involution
     with pytest.raises(GogsepError):
-        m.copy(edge_map=bad_edges)
+        remake(m, edge_map=bad_edges)
     with pytest.raises(GogsepError):
-        m.copy(delta={**m.delta, "c1_1": "b"})  # b is not in the group at u
+        remake(m, delta={**m.delta, "c1_1": "b"})  # b is not in the group at u
 
 
 def test_lifts_at_groups_a_vertex_lifts_by_target_edge(pslz):

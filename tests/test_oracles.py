@@ -289,5 +289,3 @@ def test_free_coset_key_reads_off_the_core():
     assert h.coset_key((1, 1, 1)) == h.coset_key((1,)) == (1, ())
     assert h.coset_key((1, 2, -1)) == (1, (2, -1))  # leaves the core at x2
     assert h.coset_key((1, 1, 2)) == h.coset_key((2,)) == (0, (2,))
-    with pytest.raises(ForeignElement):
-        h.coset_key((1, -1))

@@ -25,7 +25,7 @@ from gogsep import (
 )
 from gogsep.errors import AlreadyMember, GogsepError
 
-from conftest import INSTANCES, W, pslz_conjugates
+from conftest import INSTANCES, W, pslz_conjugates, remake
 
 
 def ab_loop(pslz):
@@ -166,7 +166,8 @@ def test_verify_rejects_wrong_degree(pslz):
 def test_verify_rejects_broken_cover(pslz):
     cert = separate_element(pslz, "u", [ab_loop(pslz)], W(pslz, "u", "a"), seed=0)
     # collapse two edge decorations onto one coset
-    twisted = cert.cover.copy(
+    twisted = remake(
+        cert.cover,
         delta={**cert.cover.delta, "c1_1": cert.cover.delta["~c1_2"]}
     )
     report = verify_certificate(dataclasses.replace(cert, cover=twisted))
@@ -277,30 +278,36 @@ def test_verify_certificate_is_the_only_cover_check(monkeypatch):
     assert counts["check_cover"] == 1
 
 
-def test_fold_validates_once_however_many_folds(monkeypatch):
-    """Folds edit a working copy; only the frozen result is validated."""
-    counts = {"validate": 0}
-    original = DecoratedMorphism.validate
+def test_separate_validates_once_however_many_folds(monkeypatch):
+    """Stages hand their results over unchecked; only verify validates."""
+    counts = dict.fromkeys(("validate", "is_connected", "add_edge"), 0)
 
-    def counted(self):
-        counts["validate"] += 1
-        return original(self)
+    def counted(cls, name):
+        original = getattr(cls, name)
 
-    monkeypatch.setattr(DecoratedMorphism, "validate", counted)
+        def wrapper(self, *args):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(DecoratedMorphism, "validate")
+    counted(Graph, "is_connected")
+    counted(Graph, "add_edge")
     per_run = []
     for k in (10, 30):
         target, u0, gens, g = pslz_conjugates(k)
         m = wedge(target, u0, gens)
         counts["validate"] = 0
         folded = fold(m)
-        assert counts["validate"] == 1
+        assert counts["validate"] == 0
         if k == 30:  # each fold removes one edge pair
             assert len(m.domain.graph.edge_pairs()) - len(folded.domain.graph.edge_pairs()) >= 100
-        counts["validate"] = 0
+        counts.update(validate=0, is_connected=0, add_edge=0)
         separate_element(target, u0, gens, g, seed=0)
-        per_run.append(counts["validate"])
-    # wedge, fold, enlarge, complete and verify's structure step
-    assert per_run == [5, 5]
+        per_run.append(dict(counts))
+    # verify's structure step is the one validation
+    assert per_run == [{"validate": 1, "is_connected": 0, "add_edge": 0}] * 2
 
 
 def test_completion_checks_immersion_in_its_slot_pass(monkeypatch):

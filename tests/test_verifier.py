@@ -18,7 +18,7 @@ from gogsep import (
 )
 from gogsep.errors import DidNotClose, GogsepError, UnboundedEnumeration
 
-from conftest import W, gen_corpus
+from conftest import W, gen_corpus, remake
 
 
 # -- ball enumeration --------------------------------------------------------
@@ -119,7 +119,7 @@ def test_ball_map_immersion_injective_not_onto(pslz):
 
 def test_ball_map_flags_broken_decorations(pslz):
     m = fold(wedge(pslz, "u", [W(pslz, "u", "a", "e", "b", "~e", "1")]))
-    bad = m.copy(delta={**m.delta, "c1_1": m.delta["~c1_2"]})
+    bad = remake(m, delta={**m.delta, "c1_1": m.delta["~c1_2"]})
     report = ball_map_check(bad, 2)
     assert not report.ok
 
