@@ -24,9 +24,7 @@ from .morphism import (
     check_cover,
     check_immersion,
     identity_morphism,
-    induced_image,
     lift_loop,
-    subgroup_generators,
     subgroup_member,
 )
 from .folding import (
@@ -53,6 +51,7 @@ from .verifier import (
     crosscheck,
     enumerate_ball_elements,
     random_loop,
+    subgroup_generators,
     tree_ball,
 )
 from .jsonio import (
@@ -88,7 +87,6 @@ __all__ = [
     "check_cover",
     "check_immersion",
     "identity_morphism",
-    "induced_image",
     "lift_loop",
     "subgroup_generators",
     "subgroup_member",

@@ -19,14 +19,12 @@ reduced word under an immersion is reduced.
 from __future__ import annotations
 
 import bisect
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import Graph, GraphOfGroups, Word, bar
 from .errors import (
     EndpointMismatch,
-    ElementOutOfGroup,
     GogsepError,
     InfiniteIndexVertex,
     NotAnImmersion,
@@ -40,10 +38,8 @@ __all__ = [
     "identity_morphism",
     "check_immersion",
     "check_cover",
-    "induced_image",
     "lift_loop",
     "subgroup_member",
-    "subgroup_generators",
 ]
 
 
@@ -345,36 +341,6 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
     return CheckReport(True, degree=next(iter(fiber_count.values()), 0))
 
 
-def induced_image(m: DecoratedMorphism, w: Word) -> Word:
-    """Image of a domain word: letters pass through, edges pick up deltas."""
-    if w.gog is not m.domain:
-        raise GogsepError("word does not live on the morphism's domain")
-    w.validate()
-    for i in range(w.n + 1):
-        v = w.vertex_at(i)
-        if not m.vgroup_image[v].member(w.groups[i]):
-            raise ElementOutOfGroup(
-                f"letter {i} is outside the vertex subgroup at {v!r}"
-            )
-    tgt = m.target
-    if w.n == 0:
-        return Word(tgt, m.vertex_map[w.start], (w.groups[0],), ()).reduce()
-    groups = []
-    edges = []
-    first = w.start
-    oracle = tgt.group_at(m.vertex_map[first])
-    groups.append(oracle.mul(w.groups[0], m.delta[w.edges[0]]))
-    for i, e in enumerate(w.edges):
-        edges.append(m.edge_map[e])
-        at = m.domain.graph.tau(e)
-        oracle = tgt.group_at(m.vertex_map[at])
-        x = oracle.mul(oracle.inv(m.delta[bar(e)]), w.groups[i + 1])
-        if i + 1 < w.n:
-            x = oracle.mul(x, m.delta[w.edges[i + 1]])
-        groups.append(x)
-    return Word(tgt, m.vertex_map[first], tuple(groups), tuple(edges)).reduce()
-
-
 def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
     """Lift a reduced target loop at phi(u0) through the morphism.
 
@@ -436,54 +402,3 @@ def subgroup_member(m: DecoratedMorphism, u0: str, g: Word) -> bool:
     """Is the target loop g in the subgroup this immersion represents?"""
     outcome = lift_loop(m, g, u0)
     return outcome.case == "closed" and m.vgroup_image[u0].member(outcome.element)
-
-
-def _tree_words(m: DecoratedMorphism, u0: str) -> dict:
-    """Identity-lettered domain words along a BFS spanning tree from u0."""
-    dom = m.domain
-    words = {u0: Word(dom, u0, (dom.group_at(u0).identity(),), ())}
-    tree_edges = set()
-    queue = deque([u0])
-    while queue:
-        v = queue.popleft()
-        for e in dom.graph.edges_at(v):
-            w = dom.graph.tau(e)
-            if w not in words:
-                step = Word(
-                    dom,
-                    v,
-                    (dom.group_at(v).identity(), dom.group_at(w).identity()),
-                    (e,),
-                )
-                words[w] = words[v] * step
-                tree_edges.add(e)
-                tree_edges.add(bar(e))
-                queue.append(w)
-    if len(words) != len(dom.graph.vertices):
-        raise GogsepError("domain is not connected from the base vertex")
-    return words, tree_edges
-
-
-def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
-    """Target loops generating the subgroup represented by the morphism.
-
-    One loop per vertex-subgroup generator (conjugated along the spanning
-    tree) and one per non-tree edge pair.
-    """
-    words, tree_edges = _tree_words(m, u0)
-    dom = m.domain
-    gens = []
-    for v in sorted(dom.graph.vertices):
-        for s in m.vgroup_image[v].generators:
-            loop = words[v] * Word(dom, v, (s,), ()) * words[v].inverse()
-            gens.append(induced_image(m, loop))
-    for e in sorted(dom.graph.directed_edges):
-        if e.startswith("~") or e in tree_edges:
-            continue
-        v, w = dom.graph.iota(e), dom.graph.tau(e)
-        step = Word(
-            dom, v, (dom.group_at(v).identity(), dom.group_at(w).identity()), (e,)
-        )
-        loop = words[v] * step * words[w].inverse()
-        gens.append(induced_image(m, loop))
-    return [g for g in gens if not g.is_identity_loop()]

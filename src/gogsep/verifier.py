@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .core import GraphOfGroups, Word, bar
 from .errors import DidNotClose, GogsepError, NotAnImmersion, UnboundedEnumeration
-from .morphism import CheckReport, DecoratedMorphism, subgroup_generators
+from .morphism import CheckReport, DecoratedMorphism
 from .separator import SeparationCertificate, VerificationReport, verify_certificate
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "coset_enumerate",
     "tree_ball",
     "ball_map_check",
+    "subgroup_generators",
     "crosscheck",
     "random_loop",
 ]
@@ -118,19 +119,21 @@ def brute_member(
 # vanish.
 
 
-def _spanning_tree(gog: GraphOfGroups, root: str) -> set:
+def _spanning_tree(graph, root: str):
+    """A BFS spanning tree from root: the tree's edge path from root to
+    each vertex, and the set of tree edges in both orientations."""
+    paths = {root: ()}
     tree = set()
-    seen = {root}
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for e in gog.graph.edges_at(v):
-            w = gog.graph.tau(e)
-            if w not in seen:
-                seen.add(w)
-                tree.add(e if not e.startswith("~") else bar(e))
+        for e in graph.edges_at(v):
+            w = graph.tau(e)
+            if w not in paths:
+                paths[w] = paths[v] + (e,)
+                tree.update((e, bar(e)))
                 queue.append(w)
-    return tree
+    return paths, tree
 
 
 def _presentation(gog: GraphOfGroups, root: str):
@@ -152,7 +155,7 @@ def _presentation(gog: GraphOfGroups, root: str):
                 if not oracle.is_identity(z):
                     word.append(("g", v, oracle.inv(z)))
                 relators.append(word)
-    tree = _spanning_tree(gog, root)
+    _, tree = _spanning_tree(gog.graph, root)
     for p in gog.graph.edge_pairs():
         if p in tree:
             continue
@@ -355,25 +358,32 @@ def tree_ball(
     return nodes
 
 
-def _map_tree_node(m: DecoratedMorphism, base: str, path) -> tuple:
-    """Image of a domain tree node; raises if the image path backtracks."""
+def _path_image(m: DecoratedMorphism, path) -> list:
+    """Target letters of a domain path (x1, e1) ... (xn, en), off the raw maps.
+
+    Step i maps to (δ(~e_{i-1})⁻¹·x_i·δ(e_i), φ(e_i)); the first step has
+    no left factor.
+    """
     out = []
-    v = base
     prev = None
     for x, e in path:
-        oracle = m.oracle_at(v)
+        oracle = m.oracle_at(m.domain.graph.iota(e))
         y = oracle.mul(x, m.delta[e])
         if prev is not None:
             y = oracle.mul(oracle.inv(m.delta[bar(prev)]), y)
-        f = m.edge_map[e]
-        if out and f == bar(out[-1][1]) and oracle.is_identity(y):
-            raise NotAnImmersion(
-                f"tree image backtracks along {e!r} at {v!r}"
-            )
-        out.append((y, f))
+        out.append((y, m.edge_map[e]))
         prev = e
-        v = m.domain.graph.tau(e)
-    return tuple(out)
+    return out
+
+
+def _map_tree_node(m: DecoratedMorphism, path) -> tuple:
+    """Image of a domain tree node; raises if the image path backtracks."""
+    image = tuple(_path_image(m, path))
+    for (_, e), (_, f), (y, g) in zip(path[1:], image, image[1:]):
+        v = m.domain.graph.iota(e)
+        if g == bar(f) and m.oracle_at(v).is_identity(y):
+            raise NotAnImmersion(f"tree image backtracks along {e!r} at {v!r}")
+    return image
 
 
 def ball_map_check(
@@ -401,7 +411,7 @@ def ball_map_check(
     images = []
     for path in domain_nodes:
         try:
-            images.append(_map_tree_node(m, base, path))
+            images.append(_map_tree_node(m, path))
         except NotAnImmersion as exc:
             violations.append({"kind": "backtrack", "node": path, "detail": str(exc)})
     if len(set(images)) != len(images):
@@ -419,6 +429,51 @@ def ball_map_check(
         elif set(images) != set(target_nodes):
             violations.append({"kind": "not-onto", "radius": radius})
     return CheckReport(not violations, violations)
+
+
+def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
+    """Target loops generating the subgroup represented by the morphism.
+
+    Schreier generators along a BFS spanning tree of the domain from u0:
+    one loop per vertex-subgroup generator (conjugated along the tree),
+    over sorted vertices, then one per non-tree edge pair, over sorted
+    pairs; identity loops are dropped.  Each loop's letters are read off
+    the raw maps and reduced once.
+    """
+    graph = m.domain.graph
+    if not graph.has_vertex(u0):
+        raise GogsepError(f"unknown vertex {u0!r}")
+    paths, tree = _spanning_tree(graph, u0)
+    if len(paths) != len(graph.vertices):
+        raise GogsepError("domain is not connected from the base vertex")
+    oracle = m.oracle_at(u0)
+
+    def loop(edges, k=None, s=None):
+        """Image of the domain loop along edges: letter k is s, the rest 1."""
+        xs = [m.oracle_at(graph.iota(e)).identity() for e in edges]
+        xs.append(oracle.identity())
+        if k is not None:
+            xs[k] = s
+        steps = _path_image(m, zip(xs, edges))
+        last = xs[-1]
+        if edges:
+            last = oracle.mul(oracle.inv(m.delta[bar(edges[-1])]), last)
+        groups = tuple(y for y, _ in steps) + (last,)
+        edges = tuple(f for _, f in steps)
+        return Word(m.target, m.vertex_map[u0], groups, edges).reduce()
+
+    def back(path):
+        return tuple(bar(e) for e in reversed(path))
+
+    gens = []
+    for v in sorted(graph.vertices):
+        for s in m.vgroup_image[v].generators:
+            gens.append(loop(paths[v] + back(paths[v]), len(paths[v]), s))
+    for e in graph.edge_pairs():
+        if e not in tree:
+            path = paths[graph.iota(e)] + (e,) + back(paths[graph.tau(e)])
+            gens.append(loop(path))
+    return [w for w in gens if w.n or not oracle.is_identity(w.groups[0])]
 
 
 def crosscheck(

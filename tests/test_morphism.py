@@ -4,20 +4,17 @@ from gogsep import (
     DecoratedMorphism,
     Graph,
     GraphOfGroups,
-    Word,
     check_cover,
     check_immersion,
     cover_index,
     fold,
     identity_morphism,
-    induced_image,
     lift_loop,
     subgroup_generators,
     subgroup_member,
     wedge,
 )
 from gogsep.errors import (
-    ElementOutOfGroup,
     EndpointMismatch,
     GogsepError,
     InfiniteIndexVertex,
@@ -150,33 +147,6 @@ def test_check_cover_needs_finite_index(z2):
     )
     with pytest.raises(InfiniteIndexVertex):
         check_cover(m)
-
-
-# -- induced images ----------------------------------------------------------
-
-
-def test_induced_image_reproduces_wedge_generators(pslz):
-    gens = [
-        W(pslz, "u", "a", "e", "b", "~e", "1"),
-        W(pslz, "u", "a"),
-    ]
-    m = wedge(pslz, "u", gens)
-    back = subgroup_generators(m, "v0")
-    assert {g.key() for g in back} == {g.reduce().key() for g in gens}
-
-
-def test_induced_image_rejects_foreign_letters(pslz):
-    m = ab_immersion(pslz)
-    w = Word(m.domain, "v0", ("a",), ())
-    with pytest.raises(ElementOutOfGroup):
-        induced_image(m, w)
-
-
-def test_induced_image_of_identity_loop(pslz):
-    m = ab_immersion(pslz)
-    w = m.domain.identity_word("v0")
-    img = induced_image(m, w)
-    assert img.is_identity_loop() and img.start == "u"
 
 
 # -- lifting -----------------------------------------------------------------

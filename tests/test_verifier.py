@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import gogsep.verifier
 from gogsep import (
     ball_map_check,
     brute_member,
@@ -11,6 +14,7 @@ from gogsep import (
     fold,
     identity_morphism,
     separate_element,
+    subgroup_generators,
     subgroup_member,
     random_loop,
     tree_ball,
@@ -122,6 +126,37 @@ def test_ball_map_flags_broken_decorations(pslz):
     bad = remake(m, delta={**m.delta, "c1_1": m.delta["~c1_2"]})
     report = ball_map_check(bad, 2)
     assert not report.ok
+
+
+# -- Schreier loops ----------------------------------------------------------
+
+
+def test_subgroup_generators_reproduce_wedge_generators(pslz):
+    gens = [
+        W(pslz, "u", "a", "e", "b", "~e", "1"),
+        W(pslz, "u", "a"),
+    ]
+    m = wedge(pslz, "u", gens)
+    back = subgroup_generators(m, "v0")
+    assert {g.key() for g in back} == {g.reduce().key() for g in gens}
+
+
+# -- referee independence ----------------------------------------------------
+
+
+def test_verifier_imports_only_data_types_from_the_builder():
+    tree = ast.parse(Path(gogsep.verifier.__file__).read_text())
+    imported = {}  # last part of a module name -> names taken, "*" for all
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = imported.setdefault(node.module.split(".")[-1], set())
+            names.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                imported.setdefault(a.name.split(".")[-1], set()).add("*")
+    for module in ("folding", "completion", "enlargement"):
+        assert module not in imported
+    assert imported["morphism"] == {"CheckReport", "DecoratedMorphism"}
 
 
 # -- crosscheck --------------------------------------------------------------
