@@ -453,7 +453,11 @@ class IntSubgroup(SubgroupHandle):
                 raise NotSeparated(f"{x} lies in {self.describe()}")
         if self.modulus != 0:
             return self
-        n = 1 + max((abs(x) for x in excluded), default=0)
+        # The least modulus that divides no excluded element: a few prime
+        # factors cover them all, so it stays small however big they are.
+        n = 1
+        while any(x % n == 0 for x in excluded):
+            n += 1
         return IntSubgroup(self.group, [n])
 
     def conjugated(self, t):

@@ -144,6 +144,22 @@ def test_schema_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_separate_huge_power_in_z_gives_a_small_cover(tmp_path, capsys):
+    z2 = str(INSTANCES / "z2.json")
+    gens = write_json(tmp_path / "gens.json", [])
+    element = write_json(
+        tmp_path / "g.json", {"start": "x", "word": ["1000000000"]}
+    )
+    cert = tmp_path / "cert.json"
+    code = main(
+        ["separate", z2, "--base", "x", "--gens", gens, "--element", element,
+         "-o", str(cert)]
+    )
+    assert code == 0
+    assert "degree 3" in capsys.readouterr().err
+    assert json.loads(cert.read_text())["degree"] == 3
+
+
 def test_unreduced_free_value_is_stopped_where_it_enters(tmp_path, capsys):
     """coset_key and the arithmetic trust x1.x1-; every way in rejects it."""
     graph = Graph()

@@ -77,7 +77,7 @@ GOLDEN = {
     ),
     "f2z": (
         _f2z_instance,
-        "3c53e0717911fd4902e566c577ba92f343a240f9e16075bfa7c6d0bfbb1e7f53",
+        "9314a2c70b34ff5c65ebb2aae37ffe8e89ca6e8674812f204f202f6ad066aa93",
     ),
 }
 

@@ -94,12 +94,15 @@ def test_int_subgroup_gcd_and_cosets():
         triv.coset_reps()
 
 
-def test_int_separate_picks_modulus_above_excluded():
+def test_int_separate_picks_the_least_modulus_that_separates():
     g = IntGroup()
     triv = subgroup_generate(g, [])
     k = triv.separate([3, -5])
-    assert k.modulus == 6
+    assert k.modulus == 2
     assert not any(k.member(x) for x in (3, -5))
+    assert triv.separate([]).index() == 1
+    assert triv.separate([6, -10, 15]).modulus == 4
+    assert triv.separate([10**12]).index() == 3
     h = subgroup_generate(g, [4])
     assert h.separate([2]) is h
     with pytest.raises(NotSeparated):
