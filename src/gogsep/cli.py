@@ -37,7 +37,7 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "no such file")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past the digit limit
         raise SchemaError(path, f"not JSON: {exc}")
 
 

@@ -69,7 +69,8 @@ class UnboundedEnumeration(GogsepError):
 class DidNotClose(GogsepError):
     """Coset enumeration exceeded its cap without closing.
 
-    Returned-as-value by coset_enumerate wrappers; raised only on misuse.
+    coset_enumerate raises it whenever more than its cap of cosets get
+    defined; crosscheck reports it as a failed check.
     """
 
     def __init__(self, cap):

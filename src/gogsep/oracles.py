@@ -397,7 +397,12 @@ class IntGroup(VertexGroup):
         if isinstance(text, str):
             t = text.strip()
             if t and (t.lstrip("+-").isdigit()):
-                return int(t)
+                try:
+                    return int(t)
+                except ValueError:  # past Python's digit limit for int()
+                    raise ForeignElement(
+                        f"integer of {len(t)} digits is too long"
+                    ) from None
         raise ForeignElement(f"{text!r} is not a decimal integer")
 
     def format_element(self, g):

@@ -320,6 +320,9 @@ def coset_enumerate(
 # ---------------------------------------------------------------------------
 # tree balls
 
+# The most nodes a tree ball may hold; balls grow as |G_v|^radius.
+BALL_CAP = 100_000
+
 
 def tree_ball(
     gog: GraphOfGroups,
@@ -332,6 +335,8 @@ def tree_ball(
     Children of a node at v are all (x, e) with x in the letter set of v
     and e an edge at v, except the backtracking (identity, reverse of
     the arriving edge).  Default letter sets are the full vertex groups.
+    Raises UnboundedEnumeration before a layer that could take the ball
+    past BALL_CAP nodes.
     """
     if letters is None:
         _require_finite(gog, "tree ball")
@@ -342,6 +347,11 @@ def tree_ball(
     nodes = [()]
     frontier = [((), base)]
     for _ in range(radius):
+        children = sum(len(letters[v]) * len(graph.edges_at(v)) for _, v in frontier)
+        if len(nodes) + children > BALL_CAP:
+            raise UnboundedEnumeration(
+                f"tree ball of radius {radius} would pass {BALL_CAP} nodes"
+            )
         nxt = []
         for path, v in frontier:
             oracle = gog.group_at(v)

@@ -160,6 +160,37 @@ def test_separate_huge_power_in_z_gives_a_small_cover(tmp_path, capsys):
     assert json.loads(cert.read_text())["degree"] == 3
 
 
+def test_huge_integer_in_a_word_is_a_schema_error(tmp_path, capsys):
+    z2 = str(INSTANCES / "z2.json")
+    gens = write_json(tmp_path / "gens.json", [])
+    element = write_json(tmp_path / "g.json", {"start": "x", "word": ["9" * 5000]})
+    code = main(["separate", z2, "--gens", gens, "--element", element])
+    assert code == 2
+    assert "5000 digits" in capsys.readouterr().err
+
+
+def test_huge_json_number_is_a_schema_error(tmp_path, capsys):
+    z2 = str(INSTANCES / "z2.json")
+    gens = tmp_path / "gens.json"
+    gens.write_text('[{"start": "x", "word": [' + "9" * 5000 + "]}]\n")
+    element = write_json(tmp_path / "g.json", {"start": "x", "word": ["1"]})
+    code = main(["separate", z2, "--gens", str(gens), "--element", element])
+    assert code == 2
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_crosscheck_radius_past_the_ball_cap_fails_cleanly(tmp_path, capsys):
+    rose2 = str(INSTANCES / "rose2.json")
+    gens = write_json(tmp_path / "gens.json", [{"start": "o", "word": ["1", "p", "1"]}])
+    element = write_json(tmp_path / "g.json", {"start": "o", "word": ["1", "q", "1"]})
+    cert = tmp_path / "cert.json"
+    main(["separate", rose2, "--gens", gens, "--element", element, "-o", str(cert)])
+    assert json.loads(cert.read_text())["degree"] == 2
+    capsys.readouterr()
+    assert main(["crosscheck", str(cert), "--radius", "30"]) == 1
+    assert "would pass" in capsys.readouterr().err
+
+
 def test_unreduced_free_value_is_stopped_where_it_enters(tmp_path, capsys):
     """coset_key and the arithmetic trust x1.x1-; every way in rejects it."""
     graph = Graph()
