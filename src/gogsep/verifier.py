@@ -454,8 +454,6 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
     if not graph.has_vertex(u0):
         raise GogsepError(f"unknown vertex {u0!r}")
     paths, tree = _spanning_tree(graph, u0)
-    if len(paths) != len(graph.vertices):
-        raise GogsepError("domain is not connected from the base vertex")
     oracle = m.oracle_at(u0)
 
     def loop(edges, k=None, s=None):
@@ -469,8 +467,8 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
         if edges:
             last = oracle.mul(oracle.inv(m.delta[bar(edges[-1])]), last)
         groups = tuple(y for y, _ in steps) + (last,)
-        edges = tuple(f for _, f in steps)
-        return Word(m.target, m.vertex_map[u0], groups, edges).reduce()
+        images = tuple(f for _, f in steps)
+        return Word(m.target, m.vertex_map[u0], groups, images).reduce()
 
     def back(path):
         return tuple(bar(e) for e in reversed(path))
