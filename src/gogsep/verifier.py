@@ -476,7 +476,8 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
     gens = []
     for v in sorted(graph.vertices):
         for s in m.vgroup_image[v].generators:
-            gens.append(loop(paths[v] + back(paths[v]), len(paths[v]), s))
+            if not m.oracle_at(v).is_identity(s):  # its loop would cancel
+                gens.append(loop(paths[v] + back(paths[v]), len(paths[v]), s))
     for e in graph.edge_pairs():
         if e not in tree:
             path = paths[graph.iota(e)] + (e,) + back(paths[graph.tau(e)])
