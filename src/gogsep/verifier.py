@@ -120,20 +120,19 @@ def brute_member(
 
 
 def _spanning_tree(graph, root: str):
-    """A BFS spanning tree from root: the tree's edge path from root to
-    each vertex, and the set of tree edges in both orientations."""
-    paths = {root: ()}
-    tree = set()
+    """A BFS spanning tree from root: the edge reaching each vertex in BFS
+    order (None at root), and the tree edges in both orientations."""
+    reach = {root: None}
     queue = deque([root])
     while queue:
         v = queue.popleft()
         for e in graph.edges_at(v):
             w = graph.tau(e)
-            if w not in paths:
-                paths[w] = paths[v] + (e,)
-                tree.update((e, bar(e)))
+            if w not in reach:
+                reach[w] = e
                 queue.append(w)
-    return paths, tree
+    tree = {x for e in reach.values() if e for x in (e, bar(e))}
+    return reach, tree
 
 
 def _presentation(gog: GraphOfGroups, root: str):
@@ -166,18 +165,21 @@ def _presentation(gog: GraphOfGroups, root: str):
     return symbols, inv, relators, tree
 
 
+def _group_letter(gog: GraphOfGroups, v: str, x) -> list:
+    return [] if gog.group_at(v).is_identity(x) else [("g", v, x)]
+
+
+def _stable_letter(e: str, tree: set) -> list:
+    p = bar(e) if e.startswith("~") else e
+    return [] if p in tree else [("t", p) if e == p else ("T", p)]
+
+
 def _translate(gog: GraphOfGroups, w: Word, tree: set) -> list:
     out = []
     for i in range(w.n + 1):
-        v = w.vertex_at(i)
-        oracle = gog.group_at(v)
-        if not oracle.is_identity(w.groups[i]):
-            out.append(("g", v, w.groups[i]))
+        out += _group_letter(gog, w.vertex_at(i), w.groups[i])
         if i < w.n:
-            e = w.edges[i]
-            p = bar(e) if e.startswith("~") else e
-            if p not in tree:
-                out.append(("t", p) if e == p else ("T", p))
+            out += _stable_letter(w.edges[i], tree)
     return out
 
 
@@ -240,12 +242,20 @@ class _CosetTable:
                 elif self.find(cur) != t:
                     self.pending.append((cur, t))
 
-    def scan_fill(self, a, word):
-        """Trace a relator from a back to a, defining cosets as needed."""
-        if not word:
-            return
+    def trace(self, a, word):
+        """The coset a·word, defining cosets along the word as needed."""
+        for s in word:
+            a = self.find(a)
+            nxt = self.rows[a].get(s)
+            a = self.define(a, s) if nxt is None else nxt
+        return self.find(a)
+
+    def scan_fill(self, a, word, end=None):
+        """Force a·word = end (a relator when end is None), scanning from
+        a forward and from end back and defining cosets as needed."""
         while True:
             a = self.find(a)
+            b = a if end is None else self.find(end)
             i, f = 0, a
             while i < len(word):
                 nxt = self.rows[self.find(f)].get(word[i])
@@ -254,11 +264,11 @@ class _CosetTable:
                 f = self.find(nxt)
                 i += 1
             if i == len(word):
-                if self.find(f) != self.find(a):
-                    self.pending.append((f, a))
+                if self.find(f) != b:
+                    self.pending.append((f, b))
                     self.merge()
                 return
-            j, b = len(word) - 1, a
+            j = len(word) - 1
             while j > i:
                 prv = self.rows[self.find(b)].get(self.inv[word[j]])
                 if prv is None:
@@ -271,27 +281,17 @@ class _CosetTable:
             self.define(self.find(f), word[i])
 
 
-def coset_enumerate(
-    gog: GraphOfGroups,
-    u0: str,
-    loops: Sequence[Word],
-    cap: int = 20000,
-) -> int:
-    """Index of the subgroup the loops generate, by Todd-Coxeter.
-
-    Works purely on a presentation of the fundamental group; raises
-    DidNotClose when more than ``cap`` cosets get defined.
-    """
-    symbols, inv, relators, tree = _presentation(gog, u0)
-    subwords = []
-    for w in loops:
-        w = w.validate().reduce()
-        if w.start != u0 or not w.is_loop():
-            raise GogsepError("coset enumeration needs loops at the base vertex")
-        t = _translate(gog, w, tree)
-        if t:
-            subwords.append(t)
+def _enumerate(presentation, base, steps, relations, cap: int) -> int:
+    """Todd-Coxeter over named points, coset 0 being point base.  A step
+    (p, word, q) defines point q as p·word; a relation (p, word, q) forces
+    p·word = q.  Rounds scan the relations, the relators at every live coset,
+    then define missing symbols, until the table stops changing; raises
+    DidNotClose past cap cosets."""
+    symbols, inv, relators, _ = presentation
     table = _CosetTable(inv, cap)
+    point = {base: 0}
+    for p, word, q in steps:
+        point[q] = table.trace(point[p], word)
 
     def state():
         live = table.alive()
@@ -299,8 +299,8 @@ def coset_enumerate(
 
     while True:
         before = state()
-        for w in subwords:
-            table.scan_fill(0, w)
+        for p, word, q in relations:
+            table.scan_fill(point[p], word, point[q])
         for a in range(len(table.rows)):
             if table.find(a) != a:
                 continue
@@ -315,6 +315,27 @@ def coset_enumerate(
         if state() == before:
             break
     return len(table.alive())
+
+
+def coset_enumerate(
+    gog: GraphOfGroups,
+    u0: str,
+    loops: Sequence[Word],
+    cap: int = 20000,
+) -> int:
+    """Index of the subgroup the loops generate, by Todd-Coxeter.
+
+    Works purely on a presentation of the fundamental group; raises
+    DidNotClose when more than ``cap`` cosets get defined.
+    """
+    presentation = _presentation(gog, u0)
+    relations = []
+    for w in loops:
+        w = w.validate()
+        if w.start != u0 or not w.is_loop():
+            raise GogsepError("coset enumeration needs loops at the base vertex")
+        relations.append((u0, _translate(gog, w, presentation[3]), u0))
+    return _enumerate(presentation, u0, [], relations, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +474,10 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
     graph = m.domain.graph
     if not graph.has_vertex(u0):
         raise GogsepError(f"unknown vertex {u0!r}")
-    paths, tree = _spanning_tree(graph, u0)
+    reach, tree = _spanning_tree(graph, u0)
+    paths = {}
+    for v, e in reach.items():
+        paths[v] = paths[graph.iota(e)] + (e,) if e else ()
     oracle = m.oracle_at(u0)
 
     def loop(edges, k=None, s=None):
@@ -485,6 +509,42 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
     return [w for w in gens if w.n or not oracle.is_identity(w.groups[0])]
 
 
+def _schreier_index(m: DecoratedMorphism, base: str, cap: int = 20000) -> int:
+    """Index of the morphism's subgroup, by Todd-Coxeter on short relations.
+
+    Point v is the coset 0·(image of the BFS tree path from base to v).  A
+    tree edge e: v -> w defines w as v·δ(e)·φ(e)·δ(~e)⁻¹, a non-tree edge
+    pair forces that equation, and a vertex-subgroup generator s forces
+    v·s = v: the subgroup ``subgroup_generators`` spells out loop by loop.
+    """
+    graph, target = m.domain.graph, m.target
+    if not graph.has_vertex(base):
+        raise GogsepError(f"unknown vertex {base!r}")
+    presentation = _presentation(target, m.vertex_map[base])
+    reach, tree = _spanning_tree(graph, base)
+
+    def edge(v, e, w):  # v·image(e) = w, for e: v -> w
+        f, x, y = m.edge_map[e], m.vertex_map[v], m.vertex_map[w]
+        if (target.graph.iota(f), target.graph.tau(f)) != (x, y):
+            raise GogsepError(f"image {f!r} of {e!r} does not run {x!r} to {y!r}")
+        out, back = m.delta[e], m.delta[bar(e)]
+        target.group_at(x).check(out)
+        target.group_at(y).check(back)
+        word = _group_letter(target, x, out) + _stable_letter(f, presentation[3])
+        return v, word + _group_letter(target, y, target.group_at(y).inv(back)), w
+
+    steps = [edge(graph.iota(e), e, w) for w, e in reach.items() if e]
+    relations = []
+    for v in sorted(graph.vertices):
+        for s in m.vgroup_image[v].generators:
+            m.oracle_at(v).check(s)
+            relations.append((v, _group_letter(target, m.vertex_map[v], s), v))
+    for e in graph.edge_pairs():
+        if e not in tree:
+            relations.append(edge(graph.iota(e), e, graph.tau(e)))
+    return _enumerate(presentation, base, steps, relations, cap)
+
+
 def crosscheck(
     cert: SeparationCertificate,
     radius: int = 2,
@@ -503,9 +563,8 @@ def crosscheck(
         for v in cert.target.graph.vertices
     )
     if finite:
-        loops = subgroup_generators(cert.cover, cert.base_vertex)
         try:
-            idx = coset_enumerate(cert.target, cert.u0, loops, cap=cap)
+            idx = _schreier_index(cert.cover, cert.base_vertex, cap)
             ok = idx == cert.degree
             detail = f"enumerated index {idx}, declared degree {cert.degree}"
         except DidNotClose as exc:
