@@ -69,8 +69,10 @@ class UnboundedEnumeration(GogsepError):
 class DidNotClose(GogsepError):
     """Coset enumeration exceeded its cap without closing.
 
-    coset_enumerate raises it whenever more than its cap of cosets get
-    defined; crosscheck reports it as a failed check.
+    Both callers of the Todd-Coxeter engine raise it whenever more than
+    their cap of cosets get defined: ``coset_enumerate`` over loops, and
+    crosscheck's enumeration over the cover's edges, which crosscheck
+    reports as a failed check.
     """
 
     def __init__(self, cap):

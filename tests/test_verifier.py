@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -175,6 +176,41 @@ def test_crosscheck_finite_target(pslz):
     assert checks[-2:] == ["coset-enumeration", "tree-ball"]
     enum = report.transcript[-2]
     assert f"declared degree {cert.degree}" in enum["detail"]
+
+
+def _pslz_cert(pslz):
+    """A certificate of degree 4, past what a cap of 2 cosets allows."""
+    return separate_element(
+        pslz, "u",
+        [W(pslz, "u", "a", "e", "b", "~e", "1")],
+        W(pslz, "u", "1", "e", "b", "~e", "1"),
+        seed=0,
+    )
+
+
+def test_crosscheck_flags_a_declared_degree_off_by_one(pslz):
+    cert = _pslz_cert(pslz)
+    d = cert.degree
+    report = crosscheck(dataclasses.replace(cert, degree=d + 1))
+    assert not report.ok
+    enum = next(t for t in report.transcript if t["check"] == "coset-enumeration")
+    assert enum == {
+        "check": "coset-enumeration",
+        "ok": False,
+        "detail": f"enumerated index {d}, declared degree {d + 1}",
+    }
+
+
+def test_crosscheck_reports_a_coset_cap_as_a_failed_check(pslz):
+    cert = _pslz_cert(pslz)
+    assert cert.degree == 4
+    report = crosscheck(cert, cap=2)
+    assert not report.ok
+    assert report.transcript[-2] == {
+        "check": "coset-enumeration",
+        "ok": False,
+        "detail": str(DidNotClose(2)),
+    }
 
 
 def test_crosscheck_skips_on_infinite_targets(z2):
