@@ -14,10 +14,19 @@ import random
 from typing import Optional
 
 from .core import bar, fresh_names
-from .errors import GogsepError, InfiniteIndexVertex, NotAnImmersion
+from .errors import (
+    GogsepError,
+    InfiniteIndexVertex,
+    NotAnImmersion,
+    UnboundedEnumeration,
+)
 from .morphism import CheckReport, DecoratedMorphism, _Working, lifts_by_edge
 
 __all__ = ["complete_to_cover", "restriction_check"]
+
+# The largest degree completion builds; a subgroup mZ of Z with huge m asks
+# for a cover of degree about m.
+DEGREE_CAP = 100_000
 
 
 def complete_to_cover(
@@ -27,7 +36,8 @@ def complete_to_cover(
 
     Only the input is checked: every vertex subgroup must have finite
     index, and the slot pass raises ``NotAnImmersion`` when two lifts
-    claim one coset slot.  The result is a cover by construction: each
+    claim one coset slot.  Raises ``UnboundedEnumeration`` before any
+    padding when the degree would pass DEGREE_CAP.  The result is a cover by construction: each
     slot is filled exactly once.  ``check_cover`` and ``cover_index``
     check it.
     """
@@ -43,6 +53,8 @@ def complete_to_cover(
         fibers[m.vertex_map[v]].append(v)
         degrees[m.vertex_map[v]] += index
     d = max(degrees.values())
+    if d > DEGREE_CAP:
+        raise UnboundedEnumeration(f"cover degree would pass {DEGREE_CAP}")
 
     work = _Working.of(m)
     fresh_vertex = fresh_names(m.domain.graph.vertices)

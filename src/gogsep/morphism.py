@@ -299,11 +299,16 @@ def check_immersion(m: DecoratedMorphism) -> CheckReport:
     return CheckReport(not violations, violations)
 
 
+# The most unheld coset reps a cover violation lists; an index can be huge.
+MISSING_SHOWN = 5
+
+
 def check_cover(m: DecoratedMorphism) -> CheckReport:
     """Local bijectivity: at every vertex the lifts exhaust the cosets.
 
     A passing report also carries the degree, the summed coset count over
     one fiber; every fiber has that count (see ``folding.cover_index``).
+    A violation lists the first MISSING_SHOWN coset reps no lift holds.
     """
     report = check_immersion(m)
     if not report.ok:
@@ -323,17 +328,18 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
         for f in m.target.graph.edges_at(u):
             have = lifts.get(f, [])
             if len(have) != need:
+                # At most len(held) of these reps are held, so they include
+                # the first MISSING_SHOWN unheld ones.
                 held = lifts_by_coset(handle, have, m.delta)
-                missing = [
-                    r for r in handle.coset_reps() if handle.coset_key(r) not in held
-                ]
+                reps = handle.coset_reps(limit=len(held) + MISSING_SHOWN)
+                missing = [r for r in reps if handle.coset_key(r) not in held]
                 violations.append(
                     {
                         "vertex": v,
                         "target_edge": f,
                         "have": len(have),
                         "need": need,
-                        "missing": missing,
+                        "missing": missing[:MISSING_SHOWN],
                     }
                 )
     if violations:

@@ -119,8 +119,12 @@ class SubgroupHandle:
         """[G : S] as an int, or None when infinite."""
         raise NotImplementedError
 
-    def coset_reps(self):
-        """Right-coset transversal, identity first, deterministic order."""
+    def coset_reps(self, limit=None):
+        """Right-coset transversal, identity first, deterministic order.
+
+        With a limit, only its first ``limit`` reps, so that a huge index
+        costs nothing to sample.
+        """
         raise NotImplementedError
 
     def coset_key(self, g):
@@ -336,8 +340,8 @@ class FiniteSubgroup(SubgroupHandle):
             self._reps = (reps, rep_of)
         return self._reps
 
-    def coset_reps(self):
-        return list(self._transversal()[0])
+    def coset_reps(self, limit=None):
+        return self._transversal()[0][:limit]
 
     def coset_key(self, g):
         return self._transversal()[1][g]
@@ -443,10 +447,10 @@ class IntSubgroup(SubgroupHandle):
     def index(self):
         return self.modulus if self.modulus > 0 else None
 
-    def coset_reps(self):
+    def coset_reps(self, limit=None):
         if self.modulus == 0:
             raise InfiniteIndex("trivial subgroup of Z has no finite transversal")
-        return list(range(self.modulus))
+        return list(range(self.modulus)[:limit])
 
     def coset_key(self, g):
         return g % self.modulus if self.modulus else g
@@ -825,11 +829,11 @@ class FreeSubgroup(SubgroupHandle):
         self._spanning = (reps, tree)
         return self._spanning
 
-    def coset_reps(self):
+    def coset_reps(self, limit=None):
         if not self.is_complete():
             raise InfiniteIndex(f"{self.describe()} has infinite index")
         reps, _ = self._spanning_reps()
-        return [reps[s] for s in range(self.size)]
+        return [reps[s] for s in range(self.size)[:limit]]
 
     def coset_key(self, g):
         """(state where tracing g stops, unread suffix of g).

@@ -13,6 +13,7 @@ from gogsep import (
     separate_element,
 )
 from gogsep.cli import main
+from gogsep.completion import DEGREE_CAP
 from gogsep.errors import ElementOutOfGroup, ForeignElement
 
 from conftest import INSTANCES, W
@@ -160,6 +161,43 @@ def test_separate_huge_power_in_z_gives_a_small_cover(tmp_path, capsys):
     assert json.loads(cert.read_text())["degree"] == 3
 
 
+def test_separate_past_the_degree_cap_fails_cleanly(tmp_path, capsys):
+    """H = <x^(10^12)> in Z*Z asks for a cover of degree about 10^12."""
+    z2 = str(INSTANCES / "z2.json")
+    gens = write_json(
+        tmp_path / "gens.json",
+        [{"start": "x", "word": ["1000000000000", "e", "0", "~e", "0"]}],
+    )
+    element = write_json(
+        tmp_path / "g.json", {"start": "x", "word": ["1", "e", "1", "~e", "0"]}
+    )
+    code = main(["separate", z2, "--gens", gens, "--element", element])
+    assert code == 1
+    assert f"would pass {DEGREE_CAP}" in capsys.readouterr().err
+
+
+def test_verify_reports_a_huge_index_without_listing_its_cosets(tmp_path, capsys):
+    """A cover vertex over Z with subgroup 10^12 Z and one lift of e."""
+    z2 = str(INSTANCES / "z2.json")
+    gens = write_json(tmp_path / "gens.json", [{"start": "x", "word": ["2"]}])
+    element = write_json(tmp_path / "g.json", {"start": "x", "word": ["1"]})
+    cert = tmp_path / "cert.json"
+    main(["separate", z2, "--gens", gens, "--element", element, "-o", str(cert)])
+    doc = json.loads(cert.read_text())
+    cover = doc["cover"]
+    base = cover["base"]
+    cover["vertices"][base]["subgroup"] = ["1000000000000"]
+    kept = [e for e in cover["edges"] if e["from"] == base][0]
+    cover["edges"] = [kept]
+    cover["vertices"] = {v: cover["vertices"][v] for v in (base, kept["to"])}
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL cover" in out and "'need': 1000000000000" in out
+    assert "verdict: fail" in out
+
+
 def test_huge_integer_in_a_word_is_a_schema_error(tmp_path, capsys):
     z2 = str(INSTANCES / "z2.json")
     gens = write_json(tmp_path / "gens.json", [])
@@ -189,6 +227,17 @@ def test_crosscheck_radius_past_the_ball_cap_fails_cleanly(tmp_path, capsys):
     capsys.readouterr()
     assert main(["crosscheck", str(cert), "--radius", "30"]) == 1
     assert "would pass" in capsys.readouterr().err
+
+
+def test_crosscheck_past_the_coset_cap_exits_1(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    main(["separate", PSLZ, "--gens", GENS, "--element", ELEMENT, "-o", str(cert)])
+    assert json.loads(cert.read_text())["degree"] == 4
+    capsys.readouterr()
+    assert main(["crosscheck", str(cert), "--coset-cap", "2"]) == 1
+    assert "FAIL coset-enumeration: coset enumeration did not close within 2" in (
+        capsys.readouterr().out
+    )
 
 
 def test_unreduced_free_value_is_stopped_where_it_enters(tmp_path, capsys):

@@ -19,6 +19,8 @@ from gogsep.errors import (
     GogsepError,
     InfiniteIndexVertex,
 )
+from gogsep.morphism import MISSING_SHOWN
+
 from conftest import W, remake
 
 
@@ -134,6 +136,22 @@ def test_check_cover_missing_lists_unheld_reps_at_infinite_groups(z2, f2c2):
     report = check_cover(m)
     assert report.violations == [
         {"vertex": "d0", "target_edge": "e", "have": 1, "need": 2, "missing": [()]}
+    ]
+
+
+def test_check_cover_lists_a_few_missing_reps_at_a_huge_index(z2):
+    """The first unheld reps of 10^12 Z, without listing its transversal."""
+    huge = z2.group_at("x").subgroup([10**12])
+    m = _one_lift(z2, "x", huge, "e", 4, 0)
+    report = check_cover(m)
+    assert report.violations == [
+        {
+            "vertex": "d0",
+            "target_edge": "e",
+            "have": 1,
+            "need": 10**12,
+            "missing": [0, 1, 2, 3, 5][:MISSING_SHOWN],  # 4 is held
+        }
     ]
 
 
