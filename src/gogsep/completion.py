@@ -36,10 +36,10 @@ def complete_to_cover(
 
     Only the input is checked: every vertex subgroup must have finite
     index, and the slot pass raises ``NotAnImmersion`` when two lifts
-    claim one coset slot.  Raises ``UnboundedEnumeration`` before any
-    padding when the degree would pass DEGREE_CAP.  The result is a cover by construction: each
-    slot is filled exactly once.  ``check_cover`` and ``cover_index``
-    check it.
+    claim one coset slot.  A degree past DEGREE_CAP raises
+    ``UnboundedEnumeration`` before any padding.  The result is a cover
+    by construction: each slot is filled exactly once.  ``check_cover``
+    and ``cover_index`` check it.
     """
     tgt = m.target.graph
     fibers = {u: [] for u in tgt.vertices}

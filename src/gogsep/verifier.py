@@ -509,7 +509,7 @@ def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
     return [w for w in gens if w.n or not oracle.is_identity(w.groups[0])]
 
 
-def _schreier_index(m: DecoratedMorphism, base: str, cap: int = 20000) -> int:
+def _schreier_index(m: DecoratedMorphism, base: str, cap: int) -> int:
     """Index of the morphism's subgroup, by Todd-Coxeter on short relations.
 
     Point v is the coset 0·(image of the BFS tree path from base to v).  A
