@@ -8,6 +8,7 @@ format or of the algorithms' choices updates the digests here.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -23,7 +24,17 @@ from gogsep import (
 )
 from gogsep.jsonio import dumps
 
-from conftest import INSTANCES, W, make_rose2, pslz_conjugates
+from conftest import (
+    INSTANCES,
+    W,
+    gen_corpus,
+    make_c2c3c2,
+    make_f2c2,
+    make_pslz,
+    make_rose2,
+    make_z2,
+    pslz_conjugates,
+)
 
 
 def _pslz_instance():
@@ -89,3 +100,25 @@ def test_seeded_certificate_bytes_are_pinned(name):
     cert = separate_element(target, u0, gens, g, seed=0)
     text = dumps(certificate_to_json(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# gen_corpus feeds the fuzz and Hypothesis tests; pinning its draws shows
+# that a change to the random-loop helper changed none of their inputs.
+CORPUS_TARGETS = {
+    "c2c3c2": (make_c2c3c2, "u"),
+    "f2c2": (make_f2c2, "x"),
+    "pslz": (make_pslz, "u"),
+    "rose2": (make_rose2, "o"),
+    "z2": (make_z2, "x"),
+}
+CORPUS_DIGEST = "a1a4e5d28b09d8e76dfe57e6b6948764a1095a3e38800d7bf575bce23f4be2f6"
+
+
+def test_fuzz_corpus_is_pinned():
+    keys = []
+    for name in sorted(CORPUS_TARGETS):
+        build, u0 = CORPUS_TARGETS[name]
+        gog = build()
+        for seed in range(20):
+            keys.append([w.key() for w in gen_corpus(gog, u0, random.Random(seed), 10)])
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == CORPUS_DIGEST
