@@ -23,7 +23,6 @@ from .morphism import (
     LiftOutcome,
     check_cover,
     check_immersion,
-    identity_morphism,
     lift_loop,
     subgroup_member,
 )
@@ -35,7 +34,7 @@ from .folding import (
     trim_core,
     wedge,
 )
-from .completion import complete_to_cover, restriction_check
+from .completion import complete_to_cover
 from .enlargement import enlarge, exclusion_sets
 from .separator import (
     SeparationCertificate,
@@ -50,7 +49,6 @@ from .verifier import (
     coset_enumerate,
     crosscheck,
     enumerate_ball_elements,
-    random_loop,
     subgroup_generators,
     tree_ball,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "LiftOutcome",
     "check_cover",
     "check_immersion",
-    "identity_morphism",
     "lift_loop",
     "subgroup_generators",
     "subgroup_member",
@@ -97,7 +94,6 @@ __all__ = [
     "trim_core",
     "wedge",
     "complete_to_cover",
-    "restriction_check",
     "enlarge",
     "exclusion_sets",
     "SeparationCertificate",
@@ -110,7 +106,6 @@ __all__ = [
     "coset_enumerate",
     "crosscheck",
     "enumerate_ball_elements",
-    "random_loop",
     "tree_ball",
     "certificate_from_json",
     "certificate_to_json",

@@ -20,9 +20,9 @@ from .errors import (
     NotAnImmersion,
     UnboundedEnumeration,
 )
-from .morphism import CheckReport, DecoratedMorphism, _Working, lifts_by_edge
+from .morphism import DecoratedMorphism, _Working, lifts_by_edge
 
-__all__ = ["complete_to_cover", "restriction_check"]
+__all__ = ["complete_to_cover"]
 
 # The largest degree completion builds; a subgroup mZ of Z with huge m asks
 # for a cover of degree about m.
@@ -105,30 +105,3 @@ def complete_to_cover(
             work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
     return work.freeze()
 
-
-def restriction_check(
-    small: DecoratedMorphism, big: DecoratedMorphism
-) -> CheckReport:
-    """Does big restrict to small on small's vertices and edges, verbatim?"""
-    violations = []
-    if small.target is not big.target:
-        violations.append({"kind": "target", "detail": "different targets"})
-        return CheckReport(False, violations)
-    for v in small.domain.graph.vertices:
-        if not big.domain.graph.has_vertex(v):
-            violations.append({"kind": "vertex-missing", "vertex": v})
-            continue
-        if small.vertex_map[v] != big.vertex_map[v]:
-            violations.append({"kind": "vertex-image", "vertex": v})
-        if small.vgroup_image[v].canonical_key() != big.vgroup_image[v].canonical_key():
-            violations.append({"kind": "subgroup", "vertex": v})
-    for e in small.domain.graph.directed_edges:
-        if not big.domain.graph.has_edge(e):
-            violations.append({"kind": "edge-missing", "edge": e})
-            continue
-        if small.edge_map[e] != big.edge_map[e]:
-            violations.append({"kind": "edge-image", "edge": e})
-            continue
-        if small.delta[e] != big.delta[e]:  # element values are canonical
-            violations.append({"kind": "delta", "edge": e})
-    return CheckReport(not violations, violations)

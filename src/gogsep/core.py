@@ -20,7 +20,6 @@ from .errors import (
     ComposabilityError,
     EdgeChainBroken,
     ElementOutOfGroup,
-    EndpointMismatch,
     ForeignElement,
     GogsepError,
 )
@@ -223,15 +222,6 @@ class Word:
                 ) from exc
         return self
 
-    def is_reduced(self) -> bool:
-        for i in range(self.n - 1):
-            mid_oracle = self.gog.group_at(self.vertex_at(i + 1))
-            if self.edges[i + 1] == bar(self.edges[i]) and mid_oracle.is_identity(
-                self.groups[i + 1]
-            ):
-                return False
-        return True
-
     def reduce(self) -> "Word":
         """Delete e 1 ~e subwords until none remain (confluent)."""
         gog = self.gog
@@ -255,26 +245,6 @@ class Word:
                 groups.append(g)
                 verts.append(graph.tau(e))
         return Word(gog, self.start, tuple(groups), tuple(edges))
-
-    def cyclic_reduce(self) -> "Word":
-        """Cyclically reduced conjugate of a loop; may move the base vertex."""
-        if not self.is_loop():
-            raise EndpointMismatch("cyclic reduction needs a loop")
-        w = self.reduce()
-        while (
-            w.n >= 2
-            and w.edges[0] == bar(w.edges[-1])
-            and w.gog.group_at(w.start).is_identity(
-                w.gog.group_at(w.start).mul(w.groups[-1], w.groups[0])
-            )
-        ):
-            w = Word(
-                w.gog,
-                w.gog.graph.tau(w.edges[0]),
-                w.groups[1:-1],
-                w.edges[1:-1],
-            )
-        return w
 
     def inverse(self) -> "Word":
         gog = self.gog

@@ -35,7 +35,6 @@ __all__ = [
     "DecoratedMorphism",
     "CheckReport",
     "LiftOutcome",
-    "identity_morphism",
     "check_immersion",
     "check_cover",
     "lift_loop",
@@ -243,19 +242,6 @@ class LiftOutcome:
     vertex: Optional[str] = None
     target_edge: Optional[str] = None
     carry: object = None
-
-
-def identity_morphism(gog: GraphOfGroups) -> DecoratedMorphism:
-    """The degree-1 cover of a graph of groups by itself."""
-    g = gog.graph
-    return DecoratedMorphism(
-        domain=gog,
-        target=gog,
-        vertex_map={v: v for v in g.vertices},
-        edge_map={e: e for e in g.directed_edges},
-        vgroup_image={v: gog.group_at(v).full_subgroup() for v in g.vertices},
-        delta={e: gog.group_at(g.iota(e)).identity() for e in g.directed_edges},
-    )
 
 
 def lifts_by_edge(edges, edge_map) -> dict:

@@ -34,7 +34,6 @@ from .errors import (
     GogsepError,
     InfiniteIndex,
     NotSeparated,
-    UnboundedEnumeration,
 )
 
 __all__ = [
@@ -85,13 +84,6 @@ class VertexGroup:
 
     def sort_key(self, g):
         """Deterministic ordering key; only compared within one oracle."""
-        raise NotImplementedError
-
-    def elements_within(self, bound):
-        """Elements of size <= bound; exact element list for finite kind."""
-        raise NotImplementedError
-
-    def random_element(self, rng, bound=3):
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -146,9 +138,6 @@ class SubgroupHandle:
 
     def canonical_key(self):
         """Presentation-independent canonical data, equal iff same subgroup."""
-        raise NotImplementedError
-
-    def elements_within(self, bound):
         raise NotImplementedError
 
     def is_trivial(self) -> bool:
@@ -280,12 +269,6 @@ class FiniteGroup(VertexGroup):
     def sort_key(self, g):
         return self._pos[g]
 
-    def elements_within(self, bound=None):
-        return list(self.elements)
-
-    def random_element(self, rng, bound=3):
-        return rng.choice(self.elements)
-
     def describe(self):
         return self.name or f"finite[{len(self.elements)}]"
 
@@ -357,9 +340,6 @@ class FiniteSubgroup(SubgroupHandle):
     def canonical_key(self):
         return ("finite", tuple(sorted(self.members, key=self.group.sort_key)))
 
-    def elements_within(self, bound=None):
-        return sorted(self.members, key=self.group.sort_key)
-
     def is_trivial(self):
         return len(self.members) == 1
 
@@ -416,14 +396,6 @@ class IntGroup(VertexGroup):
     def sort_key(self, g):
         return g
 
-    def elements_within(self, bound):
-        if bound is None:
-            raise UnboundedEnumeration("integer oracle needs an element bound")
-        return list(range(-bound, bound + 1))
-
-    def random_element(self, rng, bound=4):
-        return rng.randint(-bound, bound)
-
     def describe(self):
         return "Z"
 
@@ -476,14 +448,6 @@ class IntSubgroup(SubgroupHandle):
     def canonical_key(self):
         return ("integer", self.modulus)
 
-    def elements_within(self, bound):
-        if bound is None:
-            raise UnboundedEnumeration("integer subgroup needs an element bound")
-        if self.modulus == 0:
-            return [0]
-        m = self.modulus
-        return [k * m for k in range(-(bound // m), bound // m + 1)]
-
     def is_trivial(self):
         return self.modulus == 0
 
@@ -496,16 +460,6 @@ class IntSubgroup(SubgroupHandle):
 
 # Elements are reduced tuples of nonzero ints: letter k is the k-th basis
 # element, -k its inverse.  The empty tuple is the identity.
-
-
-def _reduce_free(word):
-    out = []
-    for l in word:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
 
 
 def _mul_free(a, b):
@@ -710,7 +664,7 @@ class FreeGroup(VertexGroup):
             if not 1 <= k <= self.rank:
                 raise ForeignElement(f"letter x{k} out of rank {self.rank}")
             letters.append(-k if part.endswith("-") else k)
-        word = _reduce_free(letters)
+        word = _mul_free((), letters)
         if len(word) != len(letters):
             raise ForeignElement(f"{text!r} is not reduced")
         return word
@@ -723,36 +677,6 @@ class FreeGroup(VertexGroup):
 
     def sort_key(self, g):
         return (len(g), g)
-
-    def elements_within(self, bound):
-        if bound is None:
-            raise UnboundedEnumeration("free oracle needs an element bound")
-        out = [()]
-        layer = [()]
-        for _ in range(bound):
-            nxt = []
-            for w in layer:
-                for l in _letters(self.rank):
-                    if w and w[-1] == -l:
-                        continue
-                    nxt.append(w + (l,))
-            out.extend(nxt)
-            layer = nxt
-        return out
-
-    def random_element(self, rng, bound=3):
-        n = rng.randint(0, bound)
-        word = []
-        for _ in range(n):
-            choices = [
-                l
-                for l in _letters(self.rank)
-                if not (word and word[-1] == -l)
-            ]
-            if not choices:
-                break
-            word.append(rng.choice(choices))
-        return tuple(word)
 
     def describe(self):
         return f"F{self.rank}"
@@ -857,7 +781,7 @@ class FreeSubgroup(SubgroupHandle):
 
     def separate(self, excluded):
         excluded = sorted(
-            {_reduce_free(x) for x in excluded}, key=self.group.sort_key
+            {_mul_free((), x) for x in excluded}, key=self.group.sort_key
         )
         for x in excluded:
             if self.member(x):
@@ -905,25 +829,6 @@ class FreeSubgroup(SubgroupHandle):
 
     def canonical_key(self):
         return ("free", self.size, tuple(sorted(self.delta.items())))
-
-    def elements_within(self, bound):
-        if bound is None:
-            raise UnboundedEnumeration("free subgroup needs an element bound")
-        out = []
-        stack = [(0, ())]
-        while stack:
-            s, w = stack.pop()
-            if s == 0:
-                out.append(w)
-            if len(w) == bound:
-                continue
-            for l in _letters(self.group.rank):
-                if w and w[-1] == -l:
-                    continue
-                t = self.delta.get((s, l))
-                if t is not None:
-                    stack.append((t, w + (l,)))
-        return sorted(set(out), key=self.group.sort_key)
 
     def is_trivial(self):
         return self.size == 1 and not self.delta

@@ -10,7 +10,6 @@ algorithms is the package's main line of defense.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Optional, Sequence
 
@@ -27,7 +26,6 @@ __all__ = [
     "ball_map_check",
     "subgroup_generators",
     "crosscheck",
-    "random_loop",
 ]
 
 
@@ -597,42 +595,3 @@ def crosscheck(
         )
     return VerificationReport(all(t["ok"] for t in transcript), transcript)
 
-
-def random_loop(
-    gog: GraphOfGroups,
-    u0: str,
-    rng: random.Random,
-    max_edges: int = 6,
-    letter_bound: int = 3,
-) -> Word:
-    """Random reduced loop at u0: a walk steered home, then reduced."""
-    graph = gog.graph
-    dist = {u0: 0}
-    queue = deque([u0])
-    while queue:
-        v = queue.popleft()
-        for e in graph.edges_at(v):
-            w = graph.tau(e)
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    letters = [gog.group_at(u0).random_element(rng, letter_bound)]
-    edges = []
-    v = u0
-    budget = rng.randint(0, max_edges)
-    while len(edges) < budget or v != u0:
-        options = graph.edges_at(v)
-        if len(edges) >= budget:
-            options = [e for e in options if dist[graph.tau(e)] < dist[v]] or options
-        e = rng.choice(options)
-        edges.append(e)
-        v = graph.tau(e)
-        letters.append(gog.group_at(v).random_element(rng, letter_bound))
-        if len(edges) > max_edges + len(graph.vertices):
-            break
-    while v != u0:
-        e = min(graph.edges_at(v), key=lambda e: dist[graph.tau(e)])
-        edges.append(e)
-        v = graph.tau(e)
-        letters.append(gog.group_at(v).random_element(rng, letter_bound))
-    return Word(gog, u0, tuple(letters), tuple(edges)).reduce()

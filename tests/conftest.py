@@ -1,17 +1,19 @@
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from gogsep import (
+    CheckReport,
     DecoratedMorphism,
     FiniteGroup,
     FreeGroup,
     Graph,
     GraphOfGroups,
     IntGroup,
+    Word,
     bar,
-    random_loop,
     word_from_json,
 )
 
@@ -172,6 +174,94 @@ def rose2():
 @pytest.fixture
 def f2c2():
     return make_f2c2()
+
+
+def identity_morphism(gog):
+    """The degree-1 cover of a graph of groups by itself."""
+    g = gog.graph
+    return DecoratedMorphism(
+        domain=gog,
+        target=gog,
+        vertex_map={v: v for v in g.vertices},
+        edge_map={e: e for e in g.directed_edges},
+        vgroup_image={v: gog.group_at(v).full_subgroup() for v in g.vertices},
+        delta={e: gog.group_at(g.iota(e)).identity() for e in g.directed_edges},
+    )
+
+
+def restriction_check(small, big):
+    """Does big restrict to small on small's vertices and edges, verbatim?"""
+    violations = []
+    if small.target is not big.target:
+        violations.append({"kind": "target", "detail": "different targets"})
+        return CheckReport(False, violations)
+    for v in small.domain.graph.vertices:
+        if not big.domain.graph.has_vertex(v):
+            violations.append({"kind": "vertex-missing", "vertex": v})
+            continue
+        if small.vertex_map[v] != big.vertex_map[v]:
+            violations.append({"kind": "vertex-image", "vertex": v})
+        if small.vgroup_image[v].canonical_key() != big.vgroup_image[v].canonical_key():
+            violations.append({"kind": "subgroup", "vertex": v})
+    for e in small.domain.graph.directed_edges:
+        if not big.domain.graph.has_edge(e):
+            violations.append({"kind": "edge-missing", "edge": e})
+            continue
+        if small.edge_map[e] != big.edge_map[e]:
+            violations.append({"kind": "edge-image", "edge": e})
+            continue
+        if small.delta[e] != big.delta[e]:  # element values are canonical
+            violations.append({"kind": "delta", "edge": e})
+    return CheckReport(not violations, violations)
+
+
+def _random_element(oracle, rng, bound):
+    """A random element of size at most bound: a table entry, an integer
+    in [-bound, bound], or a reduced free word of length at most bound."""
+    if oracle.kind == "finite":
+        return rng.choice(oracle.elements)
+    if oracle.kind == "integer":
+        return rng.randint(-bound, bound)
+    letters = [l for k in range(1, oracle.rank + 1) for l in (k, -k)]
+    word = []
+    n = rng.randint(0, bound)
+    while letters and len(word) < n:  # rank 0 has no letters
+        word.append(rng.choice([l for l in letters if not (word and word[-1] == -l)]))
+    return tuple(word)
+
+
+def random_loop(gog, u0, rng, max_edges=6, letter_bound=3):
+    """Random reduced loop at u0: a walk steered home, then reduced."""
+    graph = gog.graph
+    dist = {u0: 0}
+    queue = deque([u0])
+    while queue:
+        v = queue.popleft()
+        for e in graph.edges_at(v):
+            w = graph.tau(e)
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    letters = [_random_element(gog.group_at(u0), rng, letter_bound)]
+    edges = []
+    v = u0
+    budget = rng.randint(0, max_edges)
+    while len(edges) < budget or v != u0:
+        options = graph.edges_at(v)
+        if len(edges) >= budget:
+            options = [e for e in options if dist[graph.tau(e)] < dist[v]] or options
+        e = rng.choice(options)
+        edges.append(e)
+        v = graph.tau(e)
+        letters.append(_random_element(gog.group_at(v), rng, letter_bound))
+        if len(edges) > max_edges + len(graph.vertices):
+            break
+    while v != u0:
+        e = min(graph.edges_at(v), key=lambda e: dist[graph.tau(e)])
+        edges.append(e)
+        v = graph.tau(e)
+        letters.append(_random_element(gog.group_at(v), rng, letter_bound))
+    return Word(gog, u0, tuple(letters), tuple(edges)).reduce()
 
 
 def gen_corpus(gog, u0, rng, count, max_edges=4, letter_bound=2):

@@ -26,7 +26,6 @@ from gogsep import (
     kurosh_rank,
     lift_loop,
     reduced_kurosh_rank,
-    restriction_check,
     separate_element,
     subgroup_generate,
     subgroup_generators,
@@ -48,6 +47,7 @@ from conftest import (
     make_rose2,
     make_z2,
     remake,
+    restriction_check,
 )
 
 

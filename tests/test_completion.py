@@ -4,14 +4,12 @@ from gogsep import (
     complete_to_cover,
     cover_index,
     fold,
-    identity_morphism,
     morphism_to_json,
-    restriction_check,
     wedge,
 )
 from gogsep.errors import InfiniteIndexVertex, NotAnImmersion
 
-from conftest import W, remake
+from conftest import W, identity_morphism, remake, restriction_check
 
 
 def ab_immersion(pslz):

@@ -7,13 +7,12 @@ from gogsep import (
     enlarge,
     exclusion_sets,
     fold,
-    restriction_check,
     subgroup_member,
     wedge,
 )
 from gogsep.errors import ForeignElement, NotAnImmersion, NotSeparated
 
-from conftest import W, remake
+from conftest import W, remake, restriction_check
 
 
 def test_exclusion_sets_ab(pslz):

@@ -10,7 +10,6 @@ from gogsep import (
     cover_index,
     enumerate_ball_elements,
     fold,
-    identity_morphism,
     kurosh_rank,
     reduced_kurosh_rank,
     subgroup_member,
@@ -19,7 +18,7 @@ from gogsep import (
 )
 from gogsep.errors import EndpointMismatch, GogsepError, NotACover
 
-from conftest import W, remake
+from conftest import W, identity_morphism, remake
 
 
 # -- wedge -------------------------------------------------------------------

@@ -8,7 +8,6 @@ from gogsep import (
     check_immersion,
     cover_index,
     fold,
-    identity_morphism,
     lift_loop,
     subgroup_generators,
     subgroup_member,
@@ -21,7 +20,7 @@ from gogsep.errors import (
 )
 from gogsep.morphism import MISSING_SHOWN
 
-from conftest import W, remake
+from conftest import W, identity_morphism, remake
 
 
 def ab_immersion(pslz):

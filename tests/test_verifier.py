@@ -13,17 +13,15 @@ from gogsep import (
     crosscheck,
     enumerate_ball_elements,
     fold,
-    identity_morphism,
     separate_element,
     subgroup_generators,
     subgroup_member,
-    random_loop,
     tree_ball,
     wedge,
 )
 from gogsep.errors import DidNotClose, GogsepError, UnboundedEnumeration
 
-from conftest import W, gen_corpus, remake
+from conftest import W, gen_corpus, identity_morphism, random_loop, remake
 
 
 # -- ball enumeration --------------------------------------------------------
@@ -38,7 +36,7 @@ def test_ball_elements_are_distinct_reduced_loops(pslz):
     ball = enumerate_ball_elements(pslz, "u", 4)
     assert len({w.key() for w in ball}) == len(ball)
     for w in ball:
-        assert w.is_loop() and w.start == "u" and w.is_reduced()
+        assert w.is_loop() and w.start == "u" and w == w.reduce()
 
 
 def test_ball_rejects_infinite_vertex_groups(z2):
@@ -231,7 +229,7 @@ def test_random_loop_is_a_valid_reduced_loop(c2c3c2, rng):
     for _ in range(50):
         w = random_loop(c2c3c2, "u", rng)
         w.validate()
-        assert w.is_loop() and w.start == "u" and w.is_reduced()
+        assert w.is_loop() and w.start == "u" and w == w.reduce()
 
 
 def test_random_loop_deterministic_under_seed(pslz):
