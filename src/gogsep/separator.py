@@ -74,8 +74,8 @@ def attach_separating_path(m: DecoratedMorphism, u0: str, g: Word):
                     the lift now runs off the base loop.
     Raises AlreadyMember when g lies in the subgroup.
     """
-    g = g.validate().reduce()
-    outcome = lift_loop(m, g, u0)
+    outcome = lift_loop(m, g, u0)  # validates g
+    g = g.reduce()
     if outcome.case == "closed":
         if m.vgroup_image[u0].member(outcome.element):
             raise AlreadyMember("the element lies in the subgroup")
@@ -107,14 +107,16 @@ def separate_element(
     seed: Optional[int] = None,
 ) -> SeparationCertificate:
     """Produce a verified finite cover separating g from <gens> at u0."""
-    gens = [w.validate().reduce() for w in gens]
-    g = g.validate().reduce()
     if g.start != u0 or not g.is_loop():
         raise GogsepError(f"element must be a loop at {u0!r}")
 
+    # Each word is validated once, by the first stage that reads it:
+    # wedge validates the generators and lift_loop validates g.
     m = trim_core(fold(wedge(target, u0, gens)))
+    gens = [w.reduce() for w in gens]
     v0 = m.domain.base
     m, status = attach_separating_path(m, v0, g)
+    g = g.reduce()
     extra = {v0: [status[1]]} if status[0] == "loop" else None
     cover = complete_to_cover(enlarge(m, exclusion_sets(m, extra=extra)), seed=seed)
     # verify_certificate below checks the cover and this declared degree

@@ -9,6 +9,7 @@ from gogsep import (
     DecoratedMorphism,
     Graph,
     GraphOfGroups,
+    Word,
     attach_separating_path,
     check_immersion,
     complete_to_cover,
@@ -308,6 +309,22 @@ def test_separate_validates_once_however_many_folds(monkeypatch):
         per_run.append(dict(counts))
     # verify's structure step is the one validation
     assert per_run == [{"validate": 1, "is_connected": 0, "add_edge": 0}] * 2
+
+
+def test_separate_validates_each_input_word_where_it_is_first_read(monkeypatch):
+    """wedge validates the 3 generators and lift_loop the element; verify
+    validates all 4 again at the certificate boundary."""
+    calls = []
+    original = Word.validate
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Word, "validate", counted)
+    target, u0, gens, g = pslz_conjugates(30)
+    separate_element(target, u0, gens, g, seed=0)
+    assert len(calls) == 8
 
 
 def test_completion_checks_immersion_in_its_slot_pass(monkeypatch):
