@@ -27,6 +27,7 @@ from .jsonio import (
     word_from_json,
 )
 from .morphism import check_cover, check_immersion, subgroup_member
+from .oracles import MAX_ORDER_CEILING
 from .separator import separate_element, verify_certificate
 from .verifier import crosscheck
 
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-order",
         type=int,
         default=64,
-        help="cap on finite vertex group order accepted from documents",
+        help=f"cap on finite vertex group order in documents (at most {MAX_ORDER_CEILING})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -261,6 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_order > MAX_ORDER_CEILING:
+        print(f"error: --max-order is past its ceiling {MAX_ORDER_CEILING}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except SchemaError as exc:

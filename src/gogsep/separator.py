@@ -110,12 +110,10 @@ def separate_element(
     if g.start != u0 or not g.is_loop():
         raise GogsepError(f"element must be a loop at {u0!r}")
 
-    # Each word is validated once, by the first stage that reads it:
-    # wedge validates the generators and lift_loop validates g.
-    m = trim_core(fold(wedge(target, u0, gens)))
+    m = trim_core(fold(wedge(target, u0, gens)))  # wedge validates gens
     gens = [w.reduce() for w in gens]
     v0 = m.domain.base
-    m, status = attach_separating_path(m, v0, g)
+    m, status = attach_separating_path(m, v0, g)  # lift_loop validates g
     g = g.reduce()
     extra = {v0: [status[1]]} if status[0] == "loop" else None
     cover = complete_to_cover(enlarge(m, exclusion_sets(m, extra=extra)), seed=seed)

@@ -15,6 +15,7 @@ from gogsep import (
 from gogsep.cli import main
 from gogsep.completion import DEGREE_CAP
 from gogsep.errors import ElementOutOfGroup, ForeignElement
+from gogsep.oracles import MAX_ORDER_CEILING
 
 from conftest import INSTANCES, W
 
@@ -145,6 +146,19 @@ def test_schema_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_max_order_reaches_cyclic_groups_up_to_its_ceiling(tmp_path, capsys):
+    target = write_json(
+        tmp_path / "c100.json",
+        {"vertices": {"u": {"kind": "cyclic", "order": 100}}, "edges": [], "base": "u"},
+    )
+    gens = write_json(tmp_path / "gens.json", [{"start": "u", "word": ["a2"]}])
+    assert main(["--max-order", "100", "fold", target, "--gens", gens]) == 0
+    capsys.readouterr()
+    too_high = str(MAX_ORDER_CEILING + 1)
+    assert main(["--max-order", too_high, "fold", target, "--gens", gens]) == 2
+    assert "past its ceiling" in capsys.readouterr().err
+
+
 def test_separate_huge_power_in_z_gives_a_small_cover(tmp_path, capsys):
     z2 = str(INSTANCES / "z2.json")
     gens = write_json(tmp_path / "gens.json", [])
@@ -205,6 +219,16 @@ def test_huge_integer_in_a_word_is_a_schema_error(tmp_path, capsys):
     code = main(["separate", z2, "--gens", gens, "--element", element])
     assert code == 2
     assert "5000 digits" in capsys.readouterr().err
+
+
+def test_folded_integer_too_long_to_print_fails_cleanly(tmp_path, capsys):
+    """Folding the generator n e 0 ~e n merges its letters into 2n, one digit
+    past the limit the input integers are held to."""
+    z2 = str(INSTANCES / "z2.json")
+    n = "9" * 4300
+    gens = write_json(tmp_path / "gens.json", [{"start": "x", "word": [n, "e", "0", "~e", n]}])
+    assert main(["fold", z2, "--gens", gens]) == 1
+    assert "integer of 4301 digits is too long to print" in capsys.readouterr().err
 
 
 def test_huge_json_number_is_a_schema_error(tmp_path, capsys):
