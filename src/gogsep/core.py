@@ -195,6 +195,9 @@ class Word:
 
     @property
     def end(self) -> str:
+        # the entry points test is_loop() before they validate the word
+        if self.edges and not self.gog.graph.has_edge(self.edges[-1]):
+            raise EdgeChainBroken(f"unknown edge {self.edges[-1]!r}")
         return self.vertex_at(self.n)
 
     def is_loop(self) -> bool:

@@ -169,6 +169,11 @@ class SubgroupHandle:
 MAX_ORDER_CEILING = 256
 
 
+def _check_order(n, max_order):
+    if n > max_order:
+        raise GogsepError(f"finite group order {n} exceeds cap {max_order}")
+
+
 class FiniteGroup(VertexGroup):
     """Finite group given by an explicit multiplication table.
 
@@ -183,10 +188,7 @@ class FiniteGroup(VertexGroup):
         elements = list(elements)
         if len(set(elements)) != len(elements):
             raise GogsepError("duplicate element names in finite group")
-        if len(elements) > max_order:
-            raise GogsepError(
-                f"finite group order {len(elements)} exceeds cap {max_order}"
-            )
+        _check_order(len(elements), max_order)
         if not elements:
             raise GogsepError("finite group needs at least one element")
         self.elements = elements
@@ -232,6 +234,7 @@ class FiniteGroup(VertexGroup):
     @classmethod
     def cyclic(cls, n, letter="a", name=None, max_order=64):
         """Cyclic group of order n with elements 1, a, a2, ..."""
+        _check_order(n, max_order)  # before the n x n table is built
         names = ["1"] + [letter if k == 1 else f"{letter}{k}" for k in range(1, n)]
         table = {
             names[i]: {names[j]: names[(i + j) % n] for j in range(n)}
@@ -363,6 +366,20 @@ def _decimal(n: int) -> str:
         raise GogsepError(f"integer of {digits} digits is too long to print") from None
 
 
+def _ascii_decimal(digits: str):
+    """int(digits) for a nonempty run of ASCII digits, else None.
+
+    str.isdigit alone also passes '²', which int() rejects, and '١', which
+    int() reads as 1.
+    """
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(digits)
+    except ValueError:  # past Python's digit limit for int()
+        raise ForeignElement(f"integer of {len(digits)} digits is too long") from None
+
+
 class IntGroup(VertexGroup):
     """The infinite cyclic group of integers; subgroups are m*Z."""
 
@@ -392,13 +409,9 @@ class IntGroup(VertexGroup):
             return text
         if isinstance(text, str):
             t = text.strip()
-            if t and (t.lstrip("+-").isdigit()):
-                try:
-                    return int(t)
-                except ValueError:  # past Python's digit limit for int()
-                    raise ForeignElement(
-                        f"integer of {len(t)} digits is too long"
-                    ) from None
+            n = _ascii_decimal(t[1:] if t[:1] in ("+", "-") else t)
+            if n is not None:
+                return -n if t[:1] == "-" else n
         raise ForeignElement(f"{text!r} is not a decimal integer")
 
     def format_element(self, g):
@@ -531,11 +544,31 @@ class _Automaton:
         self._half(t, -l, s)
 
     def add_loop(self, word):
-        cur = 0
-        for i, l in enumerate(word):
-            nxt = 0 if i == len(word) - 1 else self.new_state()
-            self.connect(cur, l, nxt)
-            cur = nxt
+        """Fold the loop ``word`` at the base into the folded automaton.
+
+        Reads word forward from the base, and backward by inverse letters,
+        as far as transitions exist; only the unread middle gets new
+        states.  When the reads meet, their end states are merged.  This is
+        the fold of a fresh path for word with its read ends already
+        folded, so the folded result is the same, and a word the automaton
+        already reads as a loop makes no state at all.
+        """
+        self.fold()
+        i, j = 0, len(word)
+        s = r = 0
+        while i < j and (t := self.adj[s].get(word[i])) is not None:
+            s, i = self.find(t), i + 1
+        while i < j and (t := self.adj[r].get(-word[j - 1])) is not None:
+            r, j = self.find(t), j - 1
+        if i == j:
+            if s != r:
+                self.pending.append((s, r))
+            return
+        for l in word[i:j - 1]:
+            t = self.new_state()
+            self.connect(s, l, t)
+            s = t
+        self.connect(s, word[j - 1], r)
 
     def fold(self):
         while self.pending:
@@ -636,6 +669,7 @@ class FreeGroup(VertexGroup):
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
             raise GogsepError(f"free group rank must be a non-negative int: {rank!r}")
         self.rank = rank
+        self._syllables = {}  # each syllable read so far -> its letter
 
     def identity(self):
         return ()
@@ -667,19 +701,23 @@ class FreeGroup(VertexGroup):
         t = text.strip()
         if t == "1":
             return ()
-        letters = []
-        for part in t.split("."):
-            body = part[:-1] if part.endswith("-") else part
-            if not body.startswith("x") or not body[1:].isdigit():
-                raise ForeignElement(f"bad syllable {part!r} in {text!r}")
-            k = int(body[1:])
-            if not 1 <= k <= self.rank:
-                raise ForeignElement(f"letter x{k} out of rank {self.rank}")
-            letters.append(-k if part.endswith("-") else k)
-        word = _mul_free((), letters)
-        if len(word) != len(letters):
-            raise ForeignElement(f"{text!r} is not reduced")
+        table = self._syllables
+        word = tuple(table.get(p) or self._syllable(p, text) for p in t.split("."))
+        for a, b in zip(word, word[1:]):
+            if a == -b:
+                raise ForeignElement(f"{text!r} is not reduced")
         return word
+
+    def _syllable(self, part, text):
+        """The letter of a syllable not in the table yet, which stores it."""
+        body = part[:-1] if part.endswith("-") else part
+        k = _ascii_decimal(body[1:]) if body.startswith("x") else None
+        if k is None:
+            raise ForeignElement(f"bad syllable {part!r} in {text!r}")
+        if not 1 <= k <= self.rank:
+            raise ForeignElement(f"letter x{k} out of rank {self.rank}")
+        letter = self._syllables[part] = -k if part.endswith("-") else k
+        return letter
 
     def format_element(self, g):
         self.check(g)

@@ -264,6 +264,16 @@ def test_crosscheck_past_the_coset_cap_exits_1(tmp_path, capsys):
     )
 
 
+def test_non_ascii_digit_in_a_free_word_is_a_schema_error(tmp_path, capsys):
+    """'x²' passes str.isdigit but not int(); it must not reach int()."""
+    target = write_json(tmp_path / "f2.json", {
+        "vertices": {"x": {"kind": "free", "rank": 2}}, "edges": [], "base": "x"})
+    gens = write_json(tmp_path / "gens.json", [{"start": "x", "word": ["x1"]}])
+    element = write_json(tmp_path / "g.json", {"start": "x", "word": ["x²"]})
+    assert main(["separate", target, "--gens", gens, "--element", element]) == 2
+    assert "bad syllable 'x²'" in capsys.readouterr().err
+
+
 def test_unreduced_free_value_is_stopped_where_it_enters(tmp_path, capsys):
     """coset_key and the arithmetic trust x1.x1-; every way in rejects it."""
     graph = Graph()

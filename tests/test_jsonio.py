@@ -19,8 +19,10 @@ from gogsep import (
 )
 from gogsep.errors import SchemaError
 from gogsep.jsonio import dumps
+from gogsep.oracles import FreeSubgroup, _Automaton
 
 from conftest import INSTANCES, W
+from test_golden import _f2z_instance
 
 
 def load(name):
@@ -166,6 +168,28 @@ def test_certificate_paper_left_round_trip(z2):
     back = certificate_from_json(left)
     assert verify_certificate(back).ok
     assert certificate_to_json(back) == certificate_to_json(cert)
+
+
+def test_reading_free_vertex_subgroups_costs_about_their_cores(monkeypatch):
+    """Each Schreier generator is read through the automaton folded so far,
+    so new states go only where the core grows: a deterministic count in
+    place of a wall-time gate (one fresh state per letter made 65 here)."""
+    target, u0, gens, g = _f2z_instance()
+    text = dumps(certificate_to_json(separate_element(target, u0, gens, g, seed=0)))
+    calls = []
+    original = _Automaton.new_state
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(_Automaton, "new_state", counted)
+    back = certificate_from_json(json.loads(text))
+    states = sum(
+        h.size for h in back.cover.vgroup_image.values() if isinstance(h, FreeSubgroup)
+    )
+    assert states == 15
+    assert len(calls) <= 2 * states
 
 
 def test_certificate_schema_errors(pslz):

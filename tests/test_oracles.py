@@ -9,6 +9,7 @@ from gogsep import (
     oracle_from_json,
     subgroup_generate,
 )
+from gogsep import oracles
 from gogsep.errors import (
     ForeignElement,
     GogsepError,
@@ -48,6 +49,22 @@ def test_table_validation_rejects_garbage():
 def test_max_order_cap():
     with pytest.raises(GogsepError):
         FiniteGroup.cyclic(65)
+
+
+def test_cyclic_checks_the_cap_before_building_its_table(monkeypatch):
+    """Every range() in oracles is recorded; an order past the cap must
+    raise before the names or the n x n table are built."""
+    ranges = []
+
+    def recorded(*args):
+        ranges.append(args)
+        return range(*args)
+
+    monkeypatch.setattr(oracles, "range", recorded, raising=False)
+    with pytest.raises(GogsepError, match="finite group order 600 exceeds cap 64"):
+        FiniteGroup.cyclic(600)
+    assert ranges == []
+    assert len(FiniteGroup.cyclic(3).elements) == 3 and ranges
 
 
 def test_finite_subgroup_closure_and_cosets():
@@ -119,6 +136,12 @@ def test_int_parse_and_format():
         g.check(True)
 
 
+@pytest.mark.parametrize("text", ["²", "١٢", "+-5", "1_000", ""])
+def test_int_parse_accepts_ascii_decimals_only(text):
+    with pytest.raises(ForeignElement, match="is not a decimal integer"):
+        IntGroup().parse_element(text)
+
+
 # -- free kind ---------------------------------------------------------------
 
 
@@ -132,6 +155,17 @@ def test_free_parse_format_round_trip():
         g.parse_element("x1.x1-")
     with pytest.raises(ForeignElement):
         g.parse_element("x3")
+    assert g.parse_element("x01.x2-") == (1, -2)
+    with pytest.raises(ForeignElement, match="is not reduced"):
+        g.parse_element("x2.x1.x1-")
+    with pytest.raises(ForeignElement, match="5000 digits is too long"):
+        g.parse_element("x" + "1" * 5000)
+
+
+@pytest.mark.parametrize("text", ["x²", "x١", "x1.x١", "x", "x1..x2", "x1-."])
+def test_free_parse_accepts_ascii_letter_numbers_only(text):
+    with pytest.raises(ForeignElement, match="bad syllable"):
+        FreeGroup(2).parse_element(text)
 
 
 def test_free_mul_reduces():

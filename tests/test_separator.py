@@ -17,6 +17,7 @@ from gogsep import (
     exclusion_sets,
     fold,
     gog_from_json,
+    lift_loop,
     separate_element,
     subgroup_member,
     trim_core,
@@ -24,7 +25,7 @@ from gogsep import (
     wedge,
     word_from_json,
 )
-from gogsep.errors import AlreadyMember, GogsepError
+from gogsep.errors import AlreadyMember, EdgeChainBroken, GogsepError
 
 from conftest import INSTANCES, W, pslz_conjugates, remake
 
@@ -140,6 +141,20 @@ def test_separate_rejects_members_and_bad_loops(pslz):
         separate_element(pslz, "u", [ab], ab.inverse())
     with pytest.raises(GogsepError):
         separate_element(pslz, "u", [ab], W(pslz, "w", "b"))
+
+
+def test_an_unknown_last_edge_is_a_broken_chain_where_the_loop_is_tested(pslz):
+    """The loop tests of the entry points read the word's end before
+    validate() does."""
+    g = Word(pslz, "u", ("a", "1"), ("zz",))
+    m = trim_core(fold(wedge(pslz, "u", [ab_loop(pslz)])))
+    for call in (
+        lambda: separate_element(pslz, "u", [ab_loop(pslz)], g),
+        lambda: wedge(pslz, "u", [g]),
+        lambda: lift_loop(m, g, m.domain.base),
+    ):
+        with pytest.raises(EdgeChainBroken, match="unknown edge 'zz'"):
+            call()
 
 
 # -- verification ------------------------------------------------------------
