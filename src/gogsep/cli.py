@@ -14,7 +14,7 @@ import sys
 from .completion import complete_to_cover
 from .core import GraphOfGroups
 from .dotexport import gog_to_dot, morphism_to_dot
-from .enlargement import enlarge, exclusion_sets
+from .enlargement import enlarge
 from .errors import GogsepError, SchemaError
 from .folding import cover_index, fold, kurosh_rank, reduced_kurosh_rank, trim_core, wedge
 from .jsonio import (
@@ -124,7 +124,7 @@ def cmd_complete(args) -> int:
 
 def cmd_enlarge(args) -> int:
     m = morphism_from_json(_read_json(args.morphism), max_order=args.max_order)
-    enlarged = enlarge(m, exclusion_sets(m))
+    enlarged = enlarge(m)
     _write(args, dumps(morphism_to_json(enlarged, convention=args.convention)))
     return 0
 

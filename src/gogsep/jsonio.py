@@ -13,7 +13,7 @@ import json
 
 from .core import Graph, GraphOfGroups, Word, bar
 from .errors import ForeignElement, GogsepError, SchemaError
-from .morphism import DecoratedMorphism
+from .morphism import DecoratedMorphism, _Working
 from .oracles import oracle_from_json, subgroup_generate
 from .separator import SeparationCertificate
 
@@ -45,7 +45,9 @@ def _expect(doc, key, kind, path, optional=False):
             return None
         raise SchemaError(f"{path}.{key}", "missing")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (
+        not isinstance(val, kind) or (kind is int and isinstance(val, bool))
+    ):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}")
     return val
 
@@ -206,38 +208,33 @@ def _domain_to_json(m: DecoratedMorphism, convention: str) -> dict:
 def _domain_from_json(
     target: GraphOfGroups, doc, convention: str, path: str
 ) -> DecoratedMorphism:
+    """The morphism a domain block describes, built with ``_Working``: the
+    field checks below establish every fact ``validate()`` tests.
+    """
     if not isinstance(doc, dict):
         raise SchemaError(path, "domain must be an object")
     verts = _expect(doc, "vertices", dict, path)
     if not verts:
         raise SchemaError(f"{path}.vertices", "needs at least one vertex")
-    graph = Graph()
-    vertex_map = {}
-    vgroup_image = {}
-    oracles = {}
+    w = _Working(target)
     for v, spec in verts.items():
+        if not isinstance(v, str) or not v:
+            raise SchemaError(f"{path}.vertices", f"bad vertex id {v!r}")
         vpath = f"{path}.vertices.{v}"
         if not isinstance(spec, dict):
             raise SchemaError(vpath, "vertex must be an object")
         u = _expect(spec, "to", str, vpath)
         if not target.graph.has_vertex(u):
             raise SchemaError(f"{vpath}.to", f"unknown target vertex {u!r}")
-        graph.add_vertex(v)
-        vertex_map[v] = u
         oracle = target.group_at(u)
-        oracles[v] = oracle
-        gens_doc = _expect(spec, "subgroup", list, vpath)
         gens = []
-        for i, item in enumerate(gens_doc):
+        for i, item in enumerate(_expect(spec, "subgroup", list, vpath)):
             try:
                 gens.append(oracle.parse_element(item))
             except ForeignElement as exc:
                 raise SchemaError(f"{vpath}.subgroup[{i}]", str(exc)) from exc
-        vgroup_image[v] = subgroup_generate(oracle, gens)
-    edge_map = {}
-    delta = {}
-    edges = _expect(doc, "edges", list, path)
-    for i, e in enumerate(edges):
+        w.add_vertex(v, u, subgroup_generate(oracle, gens))
+    for i, e in enumerate(_expect(doc, "edges", list, path)):
         epath = f"{path}.edges[{i}]"
         if not isinstance(e, dict):
             raise SchemaError(epath, "edge must be an object")
@@ -245,24 +242,21 @@ def _domain_from_json(
         frm = _expect(e, "from", str, epath)
         to = _expect(e, "to", str, epath)
         onto = _expect(e, "onto", str, epath)
-        if frm not in vertex_map or to not in vertex_map:
+        if frm not in w.out or to not in w.out:
             raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
         if not target.graph.has_edge(onto):
             raise SchemaError(f"{epath}.onto", f"unknown target edge {onto!r}")
-        if target.graph.iota(onto) != vertex_map[frm] or (
-            target.graph.tau(onto) != vertex_map[to]
+        if target.graph.iota(onto) != w.vertex_map[frm] or (
+            target.graph.tau(onto) != w.vertex_map[to]
         ):
             raise SchemaError(
                 f"{epath}.onto", f"{onto!r} does not run under the edge {eid!r}"
             )
         if not eid or eid.startswith("~"):
             raise SchemaError(f"{epath}.id", f"bad edge id {eid!r}")
-        try:
-            graph.add_edge(eid, frm, to)
-        except GogsepError as exc:
-            raise SchemaError(f"{epath}.id", str(exc)) from exc
-        o_i = target.group_at(vertex_map[frm])
-        o_t = target.group_at(vertex_map[to])
+        if eid in w.iota:
+            raise SchemaError(f"{epath}.id", f"duplicate edge {eid!r}")
+        o_i, o_t = w.oracle_at(frm), w.oracle_at(to)
         try:
             d = o_i.parse_element(_expect(e, "delta", None, epath))
             db = o_t.parse_element(_expect(e, "delta_bar", None, epath))
@@ -270,20 +264,14 @@ def _domain_from_json(
             raise SchemaError(f"{epath}.delta", str(exc)) from exc
         if convention == "paper-left":
             d, db = o_i.inv(d), o_t.inv(db)
-        edge_map[eid] = onto
-        edge_map[bar(eid)] = bar(onto)
-        delta[eid] = d
-        delta[bar(eid)] = db
-    base = _expect(doc, "base", str, path, optional=True)
-    if base is not None and base not in vertex_map:
-        raise SchemaError(f"{path}.base", f"unknown vertex {base!r}")
-    try:
-        dom = GraphOfGroups(graph, oracles, base=base)
-        return DecoratedMorphism(
-            dom, target, vertex_map, edge_map, vgroup_image, delta
-        )
-    except GogsepError as exc:
-        raise SchemaError(path, str(exc)) from exc
+        w.add_edge(eid, frm, to, onto, d, db)
+    w.base = _expect(doc, "base", str, path, optional=True)
+    if w.base is not None and w.base not in w.out:
+        raise SchemaError(f"{path}.base", f"unknown vertex {w.base!r}")
+    m = w.freeze()
+    if not m.domain.graph.is_connected():
+        raise SchemaError(path, "graph of groups must be connected")
+    return m
 
 
 def morphism_to_json(m: DecoratedMorphism, convention: str = "right") -> dict:

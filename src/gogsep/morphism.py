@@ -112,10 +112,11 @@ class _Working:
     """A morphism's data opened for editing in place, then frozen once.
 
     The stages that reshape a morphism (wedge, fold, trim, hair, enlarge,
-    completion) edit this copy; each edit touches only the vertices and
-    edges it names.  ``freeze`` hands the data over unchecked, so every
-    edit keeps what ``Graph``, ``GraphOfGroups`` and
-    ``DecoratedMorphism.validate`` would otherwise check:
+    completion) edit this copy, and the JSON readers fill one; each edit
+    touches only the vertices and edges it names.  ``freeze`` hands the
+    data over unchecked, so every edit keeps what ``Graph``,
+    ``GraphOfGroups`` and ``DecoratedMorphism.validate`` would otherwise
+    check (the readers check each field they parse):
 
     * each vertex's out-list holds the edges e with iota(e) at it, sorted
       by id as ``Graph`` keeps them, and vertices keep insertion order;
@@ -128,7 +129,7 @@ class _Working:
       off an existing vertex.  Completion pads no fiber whose index sum
       is the maximum d; each component of its degree-d cover of the
       connected target meets that fiber, which lies in the original,
-      connected immersion.
+      connected immersion.  The readers check it after ``freeze``.
     """
 
     def __init__(self, target: GraphOfGroups, base: Optional[str] = None):

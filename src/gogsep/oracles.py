@@ -16,12 +16,12 @@ avoiding a finite excluded set.
 
 Right cosets S*t are used throughout the package.
 
-Element values are checked where they enter: ``parse_element``,
-``Word.validate`` in the public entry points, the deltas in
-``DecoratedMorphism(...)``, the subgroup constructors, ``member`` and
-``format_element``.  Arithmetic (``mul``, ``inv``, ``is_identity``) and
-``coset_key`` take values checked there, or computed from such values,
-and do not check them again.
+Element values are checked where they enter: ``parse_element`` (which
+the JSON readers call on every delta), ``Word.validate`` in the public
+entry points, the public ``DecoratedMorphism(...)`` constructor, the
+subgroup constructors, ``member`` and ``format_element``.  Arithmetic
+(``mul``, ``inv``, ``is_identity``) and ``coset_key`` take values checked
+there, or computed from such values, and do not check them again.
 """
 
 from __future__ import annotations
@@ -584,25 +584,15 @@ class _Automaton:
                 self._half(a, l, self.find(t))
 
     def normalized(self):
-        """(state list, {(s, l): t}) with union-find fully applied."""
+        """(base, state list, {(s, l): t}) with union-find fully applied.
+
+        Every live state is reachable from the base: each was made on a
+        path from state 0, and merges keep that.
+        """
         self.fold()
         live = sorted({self.find(s) for s in range(len(self.parent))})
-        trans = {}
-        for s in live:
-            for l, t in self.adj[s].items():
-                trans[(s, l)] = self.find(t)
-        base = self.find(0)
-        reachable = {base}
-        queue = deque([base])
-        while queue:
-            s = queue.popleft()
-            for l in _letters(self.rank):
-                t = trans.get((s, l))
-                if t is not None and t not in reachable:
-                    reachable.add(t)
-                    queue.append(t)
-        trans = {k: v for k, v in trans.items() if k[0] in reachable}
-        return base, sorted(reachable), trans
+        trans = {(s, l): self.find(t) for s in live for l, t in self.adj[s].items()}
+        return self.find(0), live, trans
 
 
 def _letters(rank):

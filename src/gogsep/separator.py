@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .completion import complete_to_cover
 from .core import GraphOfGroups, Word, fresh_names
-from .enlargement import enlarge, exclusion_sets
+from .enlargement import enlarge
 from .errors import AlreadyMember, GogsepError
 from .folding import fold, trim_core, wedge
 from .morphism import (
@@ -116,7 +116,7 @@ def separate_element(
     m, status = attach_separating_path(m, v0, g)  # lift_loop validates g
     g = g.reduce()
     extra = {v0: [status[1]]} if status[0] == "loop" else None
-    cover = complete_to_cover(enlarge(m, exclusion_sets(m, extra=extra)), seed=seed)
+    cover = complete_to_cover(enlarge(m, extra), seed=seed)
     # verify_certificate below checks the cover and this declared degree
     cert = SeparationCertificate(
         target=target,

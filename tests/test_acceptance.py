@@ -21,7 +21,6 @@ from gogsep import (
     crosscheck,
     enlarge,
     enumerate_ball_elements,
-    exclusion_sets,
     fold,
     kurosh_rank,
     lift_loop,
@@ -193,7 +192,7 @@ def test_immersions_and_covers_against_tree_balls(capsys):
             if not ball_map_check(m, 3).ok:
                 failures.append(f"immersion {i}: tree ball map not injective")
             immersions += 1
-            cover = complete_to_cover(enlarge(m, exclusion_sets(m)), seed=i)
+            cover = complete_to_cover(enlarge(m), seed=i)
             if not ball_map_check(cover, 3, expect_cover=True).ok:
                 failures.append(f"cover {i}: tree ball map not bijective")
             covers += 1
@@ -220,7 +219,7 @@ def test_cover_degree_counts(capsys):
         for i in range(48):
             gog, u0 = targets[i % len(targets)]
             m = _fuzz_immersion(gog, u0, rng)
-            cover = complete_to_cover(enlarge(m, exclusion_sets(m)), seed=i)
+            cover = complete_to_cover(enlarge(m), seed=i)
             sums = {
                 u: sum(cover.vgroup_image[v].index() for v in cover.fiber(u))
                 for u in gog.graph.vertices
@@ -268,7 +267,7 @@ def test_completion_yields_covers(capsys):
         for i in range(200):
             gog, u0 = targets[i % len(targets)]
             m = _fuzz_immersion(gog, u0, rng)
-            m = enlarge(m, exclusion_sets(m))
+            m = enlarge(m)
             expected = max(
                 sum(m.vgroup_image[v].index() for v in m.fiber(u))
                 for u in gog.graph.vertices
@@ -303,7 +302,7 @@ def test_enlargement_preserves_immersions(capsys):
         for i in range(200):
             gog, u0 = targets[i % len(targets)]
             m = _fuzz_immersion(gog, u0, rng)
-            big = enlarge(m, exclusion_sets(m))
+            big = enlarge(m)
             if not check_immersion(big).ok:
                 failures.append(f"instance {i}: enlargement broke the immersion")
             bad = [
@@ -403,7 +402,7 @@ def test_kurosh_rank_of_z2_covers(capsys):
         rng = random.Random(7)
         while len(covers) < 20:
             m = _fuzz_immersion(z2, "x", rng)
-            covers.append(complete_to_cover(enlarge(m, exclusion_sets(m)), seed=len(covers)))
+            covers.append(complete_to_cover(enlarge(m), seed=len(covers)))
         for i, cover in enumerate(covers):
             d = cover_index(cover)
             if reduced_kurosh_rank(cover) != d * 1:  # reduced rank of Z*Z is 1

@@ -18,6 +18,7 @@ from gogsep.errors import ElementOutOfGroup, ForeignElement
 from gogsep.oracles import MAX_ORDER_CEILING
 
 from conftest import INSTANCES, W
+from test_jsonio import _rename_q1
 
 PSLZ = str(INSTANCES / "pslz.json")
 GENS = str(INSTANCES / "pslz_gens.json")
@@ -122,6 +123,25 @@ def test_verify_fails_on_tampered_certificate(tmp_path, capsys):
     assert main(["verify", str(cert)]) == 1
     out = capsys.readouterr().out
     assert "FAIL degree" in out and "verdict: fail" in out
+
+
+def test_empty_cover_vertex_id_is_a_schema_error(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    main(
+        [
+            "separate", PSLZ,
+            "--gens", GENS,
+            "--element", ELEMENT,
+            "--seed", "0",
+            "-o", str(cert),
+        ]
+    )
+    doc = json.loads(cert.read_text())
+    _rename_q1(doc["cover"])  # a vertex over u, not the base
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(cert)]) == 2
+    assert "schema error: $.cover.vertices: bad vertex id ''" in capsys.readouterr().err
 
 
 def test_member_rejects_already_member_element(tmp_path, capsys):

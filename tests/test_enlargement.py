@@ -37,7 +37,7 @@ def test_exclusion_sets_reject_non_immersions(pslz):
 
 def test_enlarge_finite_vertices_is_identity(pslz):
     m = fold(wedge(pslz, "u", [W(pslz, "u", "a", "e", "b", "~e", "1")]))
-    big = enlarge(m, exclusion_sets(m))
+    big = enlarge(m)
     for v in m.domain.graph.vertices:
         assert big.vgroup_image[v].canonical_key() == m.vgroup_image[v].canonical_key()
     assert big.delta == m.delta
@@ -52,7 +52,7 @@ def test_enlarge_integer_vertex_to_finite_index(z2):
     assert m.vgroup_image["v0"].index() is None
     xs = exclusion_sets(m)
     assert xs["v0"] == [-1, 1]
-    big = enlarge(m, xs)
+    big = enlarge(m)
     assert check_immersion(big).ok
     assert big.vgroup_image["v0"].index() == 2
     assert all(
@@ -73,8 +73,7 @@ def test_enlarge_free_vertex_with_exclusions(f2c2):
         W(f2c2, "x", "1", "e", "a", "~e", "1"),
     ]
     m = fold(wedge(f2c2, "x", gens))
-    xs = exclusion_sets(m, extra={"v0": [(2,)]})
-    big = enlarge(m, xs)
+    big = enlarge(m, {"v0": [(2,)]})
     k = big.vgroup_image["v0"]
     assert k.index() is not None
     assert k.member((1,)) and not k.member((2,))
@@ -85,7 +84,7 @@ def test_enlarge_free_vertex_with_exclusions(f2c2):
 def test_enlarge_propagates_not_separated(f2c2):
     m = fold(wedge(f2c2, "x", [W(f2c2, "x", "x1")]))
     with pytest.raises(NotSeparated):
-        enlarge(m, exclusion_sets(m, extra={"v0": [(1,)]}))
+        enlarge(m, {"v0": [(1,)]})
 
 
 def test_naive_enlargement_breaks_immersion(z2):
@@ -102,5 +101,3 @@ def test_naive_enlargement_breaks_immersion(z2):
         }
     )
     assert not check_immersion(naive).ok
-    with pytest.raises(NotAnImmersion):
-        enlarge(m, {})  # separating without the exclusion set picks 1Z

@@ -19,10 +19,11 @@ from gogsep import (
 )
 from gogsep.errors import SchemaError
 from gogsep.jsonio import dumps
+from gogsep.morphism import DecoratedMorphism
 from gogsep.oracles import FreeSubgroup, _Automaton
 
-from conftest import INSTANCES, W
-from test_golden import _f2z_instance
+from conftest import INSTANCES, W, assert_well_built
+from test_golden import GOLDEN, _f2z_instance, _pslz_instance
 
 
 def load(name):
@@ -100,6 +101,7 @@ def test_morphism_round_trip(pslz):
     cover = ab_cover(pslz)
     doc = morphism_to_json(cover)
     back = morphism_from_json(doc)
+    assert_well_built(back)
     assert morphism_to_json(back) == doc
     assert back.delta.keys() == cover.delta.keys()
     for e in cover.delta:
@@ -119,6 +121,7 @@ def test_morphism_paper_left_inverts_deltas(pslz):
             assert mirror["delta"] == "b2"
     # and reading the left document restores the same morphism
     back = morphism_from_json(left)
+    assert_well_built(back)
     assert morphism_to_json(back) == right
 
 
@@ -153,6 +156,7 @@ def test_certificate_round_trip_and_verify(pslz):
     )
     doc = certificate_to_json(cert)
     back = certificate_from_json(json.loads(dumps(doc)))
+    assert_well_built(back.cover)
     assert certificate_to_json(back) == doc
     assert back.degree == cert.degree and back.seed == 0
     assert verify_certificate(back).ok
@@ -166,6 +170,7 @@ def test_certificate_paper_left_round_trip(z2):
     cert = separate_element(z2, "x", gens, W(z2, "x", "1"), seed=3)
     left = certificate_to_json(cert, convention="paper-left")
     back = certificate_from_json(left)
+    assert_well_built(back.cover)
     assert verify_certificate(back).ok
     assert certificate_to_json(back) == certificate_to_json(cert)
 
@@ -210,6 +215,104 @@ def test_certificate_schema_errors(pslz):
     with pytest.raises(SchemaError) as err:
         certificate_from_json(bad)
     assert "$.cover_base" in str(err.value)
+
+
+def _pslz_cert_doc():
+    """The seed-0 certificate of the bundled pslz instance, as parsed JSON.
+
+    Its cover has vertices v0 (the base) and q1 over u, v1_1 and z1 over w;
+    edge 0 is c1_1: v0 -> v1_1 onto e, edge 1 is c1_2: v1_1 -> v0 onto ~e.
+    """
+    cert = separate_element(*_pslz_instance(), seed=0)
+    return json.loads(dumps(certificate_to_json(cert)))
+
+
+def _rename_q1(cover):
+    """Rename the cover vertex q1 to the empty id."""
+    cover["vertices"][""] = cover["vertices"].pop("q1")
+    for e in cover["edges"]:
+        for end in ("from", "to"):
+            if e[end] == "q1":
+                e[end] = ""
+
+
+def test_boolean_degree_is_a_schema_error():
+    doc = _pslz_cert_doc()
+    doc["degree"] = True
+    with pytest.raises(SchemaError) as err:
+        certificate_from_json(doc)
+    assert err.value.path == "$.degree"
+
+
+# One malformed cover per fact the reader checks itself, with the path each
+# SchemaError names.
+READER_REJECTS = {
+    "empty vertex id": (_rename_q1, "$.cover.vertices"),
+    "duplicate edge id": (
+        lambda c: c["edges"][1].update(id=c["edges"][0]["id"]),
+        "$.cover.edges[1].id",
+    ),
+    "reversed edge id": (
+        lambda c: c["edges"][0].update(id="~" + c["edges"][0]["id"]),
+        "$.cover.edges[0].id",
+    ),
+    "endpoint not a vertex": (
+        lambda c: c["edges"][0].update(to="zz"), "$.cover.edges[0]"
+    ),
+    "unknown onto": (
+        lambda c: c["edges"][0].update(onto="zz"), "$.cover.edges[0].onto"
+    ),
+    "onto under the wrong vertices": (
+        lambda c: c["edges"][0].update(onto="~e"), "$.cover.edges[0].onto"
+    ),
+    "foreign delta": (
+        lambda c: c["edges"][0].update(delta="b"), "$.cover.edges[0].delta"
+    ),
+    "unknown target vertex": (
+        lambda c: c["vertices"]["q1"].update(to="zz"), "$.cover.vertices.q1.to"
+    ),
+    "disconnected cover": (
+        lambda c: c["vertices"].update(lone={"to": "u", "subgroup": []}),
+        "$.cover",
+    ),
+    "unknown base": (lambda c: c.update(base="zz"), "$.cover.base"),
+}
+
+
+@pytest.mark.parametrize("fact", sorted(READER_REJECTS))
+def test_reader_rejects_each_malformed_cover(fact):
+    mutate, path = READER_REJECTS[fact]
+    doc = _pslz_cert_doc()
+    mutate(doc["cover"])
+    with pytest.raises(SchemaError) as err:
+        certificate_from_json(doc)
+    assert err.value.path == path
+
+
+def test_read_and_verify_validate_the_cover_once(monkeypatch):
+    """The reader builds the cover with ``_Working``; verify's structure
+    step is the one ``validate``."""
+    doc = _pslz_cert_doc()
+    calls = []
+    original = DecoratedMorphism.validate
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(DecoratedMorphism, "validate", counted)
+    assert verify_certificate(certificate_from_json(doc)).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_documents_read_back_well_built(name):
+    cert = separate_element(*GOLDEN[name][0](), seed=0)
+    for convention in ("right", "paper-left"):
+        doc = json.loads(dumps(certificate_to_json(cert, convention=convention)))
+        assert_well_built(certificate_from_json(doc).cover)
+        doc = morphism_to_json(cert.cover, convention=convention)
+        assert_well_built(morphism_from_json(doc))
 
 
 def test_dumps_is_stable():

@@ -12,7 +12,6 @@ from gogsep import (
     attach_separating_path,
     complete_to_cover,
     enlarge,
-    exclusion_sets,
     fold,
     trim_core,
     wedge,
@@ -43,7 +42,7 @@ def _stages(target, u0, gens, g):
     m, status = attach_separating_path(m, m.domain.base, g)
     out[status[0]] = m
     extra = {m.domain.base: [status[1]]} if status[0] == "loop" else None
-    out["enlarge"] = m = enlarge(m, exclusion_sets(m, extra=extra))
+    out["enlarge"] = m = enlarge(m, extra)
     out["complete"] = complete_to_cover(m, seed=0)
     return out
 

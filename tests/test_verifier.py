@@ -158,6 +158,20 @@ def test_verifier_imports_only_data_types_from_the_builder():
     assert imported["morphism"] == {"CheckReport", "DecoratedMorphism"}
 
 
+def test_src_builds_morphisms_only_through_the_working_copy():
+    """No src module calls the validating ``DecoratedMorphism(...)``
+    constructor, so every morphism src makes comes from ``_Working.freeze()``."""
+    callers = []
+    for path in sorted(Path(gogsep.verifier.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "DecoratedMorphism":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
+
+
 # -- crosscheck --------------------------------------------------------------
 
 
