@@ -46,10 +46,8 @@ from .separator import (
 from .verifier import (
     ball_map_check,
     brute_member,
-    coset_enumerate,
     crosscheck,
     enumerate_ball_elements,
-    subgroup_generators,
     tree_ball,
 )
 from .jsonio import (
@@ -85,7 +83,6 @@ __all__ = [
     "check_cover",
     "check_immersion",
     "lift_loop",
-    "subgroup_generators",
     "subgroup_member",
     "cover_index",
     "fold",
@@ -103,7 +100,6 @@ __all__ = [
     "verify_certificate",
     "ball_map_check",
     "brute_member",
-    "coset_enumerate",
     "crosscheck",
     "enumerate_ball_elements",
     "tree_ball",

@@ -69,10 +69,9 @@ class UnboundedEnumeration(GogsepError):
 class DidNotClose(GogsepError):
     """Coset enumeration exceeded its cap without closing.
 
-    Both callers of the Todd-Coxeter engine raise it whenever more than
-    their cap of cosets get defined: ``coset_enumerate`` over loops, and
-    crosscheck's enumeration over the cover's edges, which crosscheck
-    reports as a failed check.
+    Raised whenever the Todd-Coxeter engine defines more than its cap of
+    cosets; crosscheck's enumeration over the cover's edges reports it as
+    a failed check.
     """
 
     def __init__(self, cap):

@@ -10,11 +10,12 @@ Three kinds of coefficient group can sit at a vertex:
 All element values are plain Python data (str / int / tuple of nonzero
 ints) so equality and hashing are structural.  Every kind exposes the
 same surface: arithmetic, parsing, subgroup generation, and a subgroup
-handle with membership, index, right-coset transversals, hashable coset
-keys and a separability routine that returns a finite-index oversubgroup
-avoiding a finite excluded set.
+handle with index, right-coset transversals, hashable coset keys and a
+separability routine that returns a finite-index oversubgroup avoiding a
+finite excluded set.
 
-Right cosets S*t are used throughout the package.
+Right cosets S*t are used throughout the package; ``coset_key`` is the
+one coset notion each kind implements, and membership is derived from it.
 
 Element values are checked where they enter: ``parse_element`` (which
 the JSON readers call on every delta), ``Word.validate`` in the public
@@ -98,14 +99,19 @@ class VertexGroup:
 
 
 class SubgroupHandle:
-    """Common surface of a subgroup of a vertex group."""
+    """Common surface of a subgroup of a vertex group, which ``generators``
+    generate.  Membership is the identity's coset: g in S iff S*g == S*1."""
 
     def __init__(self, group: VertexGroup, generators):
         self.group = group
         self.generators = tuple(generators)
 
     def member(self, g) -> bool:
-        raise NotImplementedError
+        self.group.check(g)
+        return self.coset_key(g) == self.coset_key(self.group.identity())
+
+    def is_trivial(self) -> bool:
+        return all(self.group.is_identity(g) for g in self.generators)
 
     def index(self):
         """[G : S] as an int, or None when infinite."""
@@ -136,26 +142,9 @@ class SubgroupHandle:
         g = self.group
         return g.subgroup([g.conjugate(t, x) for x in self.generators])
 
-    def canonical_key(self):
-        """Presentation-independent canonical data, equal iff same subgroup."""
-        raise NotImplementedError
-
-    def is_trivial(self) -> bool:
-        raise NotImplementedError
-
     def describe(self) -> str:
         gens = ", ".join(self.group.format_element(g) for g in self.generators)
         return f"<{gens}>" if gens else "<1>"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubgroupHandle)
-            and self.group is other.group
-            and self.canonical_key() == other.canonical_key()
-        )
-
-    def __hash__(self):
-        return hash(self.canonical_key())
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
@@ -306,10 +295,6 @@ class FiniteSubgroup(SubgroupHandle):
         self.members = frozenset(closure)
         self._reps = None
 
-    def member(self, g):
-        self.group.check(g)
-        return g in self.members
-
     def index(self):
         return len(self.group.elements) // len(self.members)
 
@@ -340,12 +325,6 @@ class FiniteSubgroup(SubgroupHandle):
                     f"{self.group.format_element(x)} lies in the subgroup"
                 )
         return self
-
-    def canonical_key(self):
-        return ("finite", tuple(sorted(self.members, key=self.group.sort_key)))
-
-    def is_trivial(self):
-        return len(self.members) == 1
 
     def describe(self):
         return f"order {len(self.members)} of {self.group.describe()}"
@@ -435,12 +414,6 @@ class IntSubgroup(SubgroupHandle):
         super().__init__(group, generators)
         self.modulus = math.gcd(*[abs(g) for g in generators]) if generators else 0
 
-    def member(self, g):
-        self.group.check(g)
-        if self.modulus == 0:
-            return g == 0
-        return g % self.modulus == 0
-
     def index(self):
         return self.modulus if self.modulus > 0 else None
 
@@ -469,12 +442,6 @@ class IntSubgroup(SubgroupHandle):
     def conjugated(self, t):
         self.group.check(t)
         return IntSubgroup(self.group, list(self.generators))
-
-    def canonical_key(self):
-        return ("integer", self.modulus)
-
-    def is_trivial(self):
-        return self.modulus == 0
 
     def describe(self):
         return f"{_decimal(self.modulus)}Z"
@@ -751,19 +718,6 @@ class FreeSubgroup(SubgroupHandle):
             states, trans = _trim_to_core(base, states, trans)
             self.size, self.delta = _relabel_bfs(base, states, trans, group.rank)
 
-    def trace(self, word, start=0):
-        """Follow word from a state; None when a transition is missing."""
-        s = start
-        for l in word:
-            s = self.delta.get((s, l))
-            if s is None:
-                return None
-        return s
-
-    def member(self, g):
-        self.group.check(g)
-        return self.trace(g) == 0
-
     def is_complete(self):
         return all(
             (s, l) in self.delta
@@ -851,8 +805,9 @@ class FreeSubgroup(SubgroupHandle):
         # The completed automaton is already the folded core of the subgroup
         # its Schreier generators make, canonically numbered: no refold.
         auto = _relabel_bfs(0, list(range(size)), delta, self.group.rank)
-        gens = FreeSubgroup(self.group, [], _auto=auto)._schreier_generators()
-        return FreeSubgroup(self.group, gens, _auto=auto)
+        k = FreeSubgroup(self.group, [], _auto=auto)
+        k.generators = tuple(k._schreier_generators())
+        return k
 
     def _schreier_generators(self):
         reps, tree = self._spanning_reps()
@@ -866,12 +821,6 @@ class FreeSubgroup(SubgroupHandle):
                 if w:
                     gens.append(w)
         return gens
-
-    def canonical_key(self):
-        return ("free", self.size, tuple(sorted(self.delta.items())))
-
-    def is_trivial(self):
-        return self.size == 1 and not self.delta
 
     def describe(self):
         gens = ", ".join(self.group.format_element(g) for g in self.generators)

@@ -21,10 +21,8 @@ from .separator import SeparationCertificate, VerificationReport, verify_certifi
 __all__ = [
     "enumerate_ball_elements",
     "brute_member",
-    "coset_enumerate",
     "tree_ball",
     "ball_map_check",
-    "subgroup_generators",
     "crosscheck",
 ]
 
@@ -113,8 +111,8 @@ def brute_member(
 # Presentation of the fundamental group relative to a spanning tree:
 # one symbol per nontrivial element of each vertex group with the full
 # multiplication table as relators, plus one free stable letter per
-# non-tree edge pair.  Loops translate letter-by-letter; tree edges
-# vanish.
+# non-tree edge pair.  An edge translates to its group letters around its
+# stable letter; tree edges vanish.
 
 
 def _spanning_tree(graph, root: str):
@@ -170,15 +168,6 @@ def _group_letter(gog: GraphOfGroups, v: str, x) -> list:
 def _stable_letter(e: str, tree: set) -> list:
     p = bar(e) if e.startswith("~") else e
     return [] if p in tree else [("t", p) if e == p else ("T", p)]
-
-
-def _translate(gog: GraphOfGroups, w: Word, tree: set) -> list:
-    out = []
-    for i in range(w.n + 1):
-        out += _group_letter(gog, w.vertex_at(i), w.groups[i])
-        if i < w.n:
-            out += _stable_letter(w.edges[i], tree)
-    return out
 
 
 class _CosetTable:
@@ -315,27 +304,6 @@ def _enumerate(presentation, base, steps, relations, cap: int) -> int:
     return len(table.alive())
 
 
-def coset_enumerate(
-    gog: GraphOfGroups,
-    u0: str,
-    loops: Sequence[Word],
-    cap: int = 20000,
-) -> int:
-    """Index of the subgroup the loops generate, by Todd-Coxeter.
-
-    Works purely on a presentation of the fundamental group; raises
-    DidNotClose when more than ``cap`` cosets get defined.
-    """
-    presentation = _presentation(gog, u0)
-    relations = []
-    for w in loops:
-        w = w.validate()
-        if w.start != u0 or not w.is_loop():
-            raise GogsepError("coset enumeration needs loops at the base vertex")
-        relations.append((u0, _translate(gog, w, presentation[3]), u0))
-    return _enumerate(presentation, u0, [], relations, cap)
-
-
 # ---------------------------------------------------------------------------
 # tree balls
 
@@ -460,60 +428,13 @@ def ball_map_check(
     return CheckReport(not violations, violations)
 
 
-def subgroup_generators(m: DecoratedMorphism, u0: str) -> list[Word]:
-    """Target loops generating the subgroup represented by the morphism.
-
-    Schreier generators along a BFS spanning tree of the domain from u0:
-    one loop per vertex-subgroup generator (conjugated along the tree),
-    over sorted vertices, then one per non-tree edge pair, over sorted
-    pairs; identity loops are dropped.  Each loop's letters are read off
-    the raw maps and reduced once.
-    """
-    graph = m.domain.graph
-    if not graph.has_vertex(u0):
-        raise GogsepError(f"unknown vertex {u0!r}")
-    reach, tree = _spanning_tree(graph, u0)
-    paths = {}
-    for v, e in reach.items():
-        paths[v] = paths[graph.iota(e)] + (e,) if e else ()
-    oracle = m.oracle_at(u0)
-
-    def loop(edges, k=None, s=None):
-        """Image of the domain loop along edges: letter k is s, the rest 1."""
-        xs = [m.oracle_at(graph.iota(e)).identity() for e in edges]
-        xs.append(oracle.identity())
-        if k is not None:
-            xs[k] = s
-        steps = _path_image(m, zip(xs, edges))
-        last = xs[-1]
-        if edges:
-            last = oracle.mul(oracle.inv(m.delta[bar(edges[-1])]), last)
-        groups = tuple(y for y, _ in steps) + (last,)
-        images = tuple(f for _, f in steps)
-        return Word(m.target, m.vertex_map[u0], groups, images).reduce()
-
-    def back(path):
-        return tuple(bar(e) for e in reversed(path))
-
-    gens = []
-    for v in sorted(graph.vertices):
-        for s in m.vgroup_image[v].generators:
-            if not m.oracle_at(v).is_identity(s):  # its loop would cancel
-                gens.append(loop(paths[v] + back(paths[v]), len(paths[v]), s))
-    for e in graph.edge_pairs():
-        if e not in tree:
-            path = paths[graph.iota(e)] + (e,) + back(paths[graph.tau(e)])
-            gens.append(loop(path))
-    return [w for w in gens if w.n or not oracle.is_identity(w.groups[0])]
-
-
 def _schreier_index(m: DecoratedMorphism, base: str, cap: int) -> int:
     """Index of the morphism's subgroup, by Todd-Coxeter on short relations.
 
     Point v is the coset 0·(image of the BFS tree path from base to v).  A
     tree edge e: v -> w defines w as v·δ(e)·φ(e)·δ(~e)⁻¹, a non-tree edge
     pair forces that equation, and a vertex-subgroup generator s forces
-    v·s = v: the subgroup ``subgroup_generators`` spells out loop by loop.
+    v·s = v: the subgroup the cover's Schreier loops generate.
     """
     graph, target = m.domain.graph, m.target
     if not graph.has_vertex(base):
@@ -556,42 +477,18 @@ def crosscheck(
     skipped on targets with integer or free kinds.
     """
     transcript = list(verify_certificate(cert).transcript)
-    finite = all(
-        cert.target.group_at(v).kind == "finite"
-        for v in cert.target.graph.vertices
-    )
-    if finite:
+    target = cert.target
+    if all(target.group_at(v).kind == "finite" for v in target.graph.vertices):
         try:
             idx = _schreier_index(cert.cover, cert.base_vertex, cap)
-            ok = idx == cert.degree
             detail = f"enumerated index {idx}, declared degree {cert.degree}"
+            enum = (idx == cert.degree, detail)
         except DidNotClose as exc:
-            ok, detail = False, str(exc)
-        transcript.append({"check": "coset-enumeration", "ok": ok, "detail": detail})
+            enum = (False, str(exc))
         report = ball_map_check(cert.cover, radius, expect_cover=True)
-        transcript.append(
-            {
-                "check": "tree-ball",
-                "ok": report.ok,
-                "detail": f"radius {radius}"
-                if report.ok
-                else report.violations[:3],
-            }
-        )
+        ball = (report.ok, f"radius {radius}" if report.ok else report.violations[:3])
     else:
-        transcript.append(
-            {
-                "check": "coset-enumeration",
-                "ok": True,
-                "detail": "skipped: target has infinite vertex groups",
-            }
-        )
-        transcript.append(
-            {
-                "check": "tree-ball",
-                "ok": True,
-                "detail": "skipped: target has infinite vertex groups",
-            }
-        )
+        enum = ball = (True, "skipped: target has infinite vertex groups")
+    for check, (ok, detail) in (("coset-enumeration", enum), ("tree-ball", ball)):
+        transcript.append({"check": check, "ok": ok, "detail": detail})
     return VerificationReport(all(t["ok"] for t in transcript), transcript)
-

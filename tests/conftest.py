@@ -16,6 +16,8 @@ from gogsep import (
     bar,
     word_from_json,
 )
+from gogsep.errors import ElementOutOfGroup, GogsepError
+from gogsep.verifier import _enumerate, _group_letter, _presentation, _stable_letter
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -201,7 +203,7 @@ def restriction_check(small, big):
             continue
         if small.vertex_map[v] != big.vertex_map[v]:
             violations.append({"kind": "vertex-image", "vertex": v})
-        if small.vgroup_image[v].canonical_key() != big.vgroup_image[v].canonical_key():
+        if canonical_key(small.vgroup_image[v]) != canonical_key(big.vgroup_image[v]):
             violations.append({"kind": "subgroup", "vertex": v})
     for e in small.domain.graph.directed_edges:
         if not big.domain.graph.has_edge(e):
@@ -213,6 +215,132 @@ def restriction_check(small, big):
         if small.delta[e] != big.delta[e]:  # element values are canonical
             violations.append({"kind": "delta", "edge": e})
     return CheckReport(not violations, violations)
+
+
+def canonical_key(h):
+    """Presentation-independent data of a subgroup handle: equal for two
+    handles of one group exactly when they are the same subgroup."""
+    if h.group.kind == "finite":
+        return ("finite", tuple(sorted(h.members, key=h.group.sort_key)))
+    if h.group.kind == "integer":
+        return ("integer", h.modulus)
+    return ("free", h.size, tuple(sorted(h.delta.items())))
+
+
+# -- Schreier loops and the loop-fed coset enumeration ------------------------
+#
+# References for the verifier's ``_schreier_index``, which feeds Todd-Coxeter
+# one short relation per cover edge: the subgroup's Schreier loops built by
+# word products, and the index the loops generate, enumerated loop by loop.
+
+
+def _induced_image(m, w):
+    """Image of a domain word: letters pass through, edges pick up deltas."""
+    if w.gog is not m.domain:
+        raise GogsepError("word does not live on the morphism's domain")
+    w.validate()
+    for i in range(w.n + 1):
+        v = w.vertex_at(i)
+        if not m.vgroup_image[v].member(w.groups[i]):
+            raise ElementOutOfGroup(
+                f"letter {i} is outside the vertex subgroup at {v!r}"
+            )
+    tgt = m.target
+    if w.n == 0:
+        return Word(tgt, m.vertex_map[w.start], (w.groups[0],), ()).reduce()
+    groups = []
+    edges = []
+    first = w.start
+    oracle = tgt.group_at(m.vertex_map[first])
+    groups.append(oracle.mul(w.groups[0], m.delta[w.edges[0]]))
+    for i, e in enumerate(w.edges):
+        edges.append(m.edge_map[e])
+        at = m.domain.graph.tau(e)
+        oracle = tgt.group_at(m.vertex_map[at])
+        x = oracle.mul(oracle.inv(m.delta[bar(e)]), w.groups[i + 1])
+        if i + 1 < w.n:
+            x = oracle.mul(x, m.delta[w.edges[i + 1]])
+        groups.append(x)
+    return Word(tgt, m.vertex_map[first], tuple(groups), tuple(edges)).reduce()
+
+
+def _tree_words(m, u0):
+    """Identity-lettered domain words along a BFS spanning tree from u0."""
+    dom = m.domain
+    words = {u0: Word(dom, u0, (dom.group_at(u0).identity(),), ())}
+    tree_edges = set()
+    queue = deque([u0])
+    while queue:
+        v = queue.popleft()
+        for e in dom.graph.edges_at(v):
+            w = dom.graph.tau(e)
+            if w not in words:
+                step = Word(
+                    dom,
+                    v,
+                    (dom.group_at(v).identity(), dom.group_at(w).identity()),
+                    (e,),
+                )
+                words[w] = words[v] * step
+                tree_edges.add(e)
+                tree_edges.add(bar(e))
+                queue.append(w)
+    if len(words) != len(dom.graph.vertices):
+        raise GogsepError("domain is not connected from the base vertex")
+    return words, tree_edges
+
+
+def subgroup_generators(m, u0):
+    """Target loops generating the subgroup represented by the morphism.
+
+    Schreier generators along a BFS spanning tree of the domain from u0:
+    one loop per vertex-subgroup generator (conjugated along the tree),
+    over sorted vertices, then one per non-tree edge pair, over sorted
+    pairs; identity loops are dropped.  Each loop is a product of domain
+    words carried to the target by a checked induced image.
+    """
+    words, tree_edges = _tree_words(m, u0)
+    dom = m.domain
+    gens = []
+    for v in sorted(dom.graph.vertices):
+        for s in m.vgroup_image[v].generators:
+            loop = words[v] * Word(dom, v, (s,), ()) * words[v].inverse()
+            gens.append(_induced_image(m, loop))
+    for e in sorted(dom.graph.directed_edges):
+        if e.startswith("~") or e in tree_edges:
+            continue
+        v, w = dom.graph.iota(e), dom.graph.tau(e)
+        step = Word(
+            dom, v, (dom.group_at(v).identity(), dom.group_at(w).identity()), (e,)
+        )
+        loop = words[v] * step * words[w].inverse()
+        gens.append(_induced_image(m, loop))
+    return [g for g in gens if not g.is_identity_loop()]
+
+
+def _translate(gog, w, tree):
+    out = []
+    for i in range(w.n + 1):
+        out += _group_letter(gog, w.vertex_at(i), w.groups[i])
+        if i < w.n:
+            out += _stable_letter(w.edges[i], tree)
+    return out
+
+
+def coset_enumerate(gog, u0, loops, cap=20000):
+    """Index of the subgroup the loops generate, by Todd-Coxeter.
+
+    Works purely on a presentation of the fundamental group; raises
+    DidNotClose when more than ``cap`` cosets get defined.
+    """
+    presentation = _presentation(gog, u0)
+    relations = []
+    for w in loops:
+        w = w.validate()
+        if w.start != u0 or not w.is_loop():
+            raise GogsepError("coset enumeration needs loops at the base vertex")
+        relations.append((u0, _translate(gog, w, presentation[3]), u0))
+    return _enumerate(presentation, u0, [], relations, cap)
 
 
 def _random_element(oracle, rng, bound):

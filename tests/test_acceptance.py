@@ -16,7 +16,6 @@ from gogsep import (
     check_cover,
     check_immersion,
     complete_to_cover,
-    coset_enumerate,
     cover_index,
     crosscheck,
     enlarge,
@@ -27,7 +26,6 @@ from gogsep import (
     reduced_kurosh_rank,
     separate_element,
     subgroup_generate,
-    subgroup_generators,
     subgroup_member,
     trim_core,
     verify_certificate,
@@ -38,6 +36,7 @@ from gogsep.jsonio import certificate_to_json, dumps
 
 from conftest import (
     W,
+    coset_enumerate,
     gen_corpus,
     make_c2c3c2,
     make_dinfty,
@@ -47,6 +46,7 @@ from conftest import (
     make_z2,
     remake,
     restriction_check,
+    subgroup_generators,
 )
 
 

@@ -27,6 +27,7 @@ from gogsep.oracles import subgroup_generate
 
 from conftest import (
     assert_well_built,
+    canonical_key,
     gen_corpus,
     make_f2c2,
     make_pslz,
@@ -199,7 +200,7 @@ def _snapshot(m):
         m.vertex_map,
         m.edge_map,
         m.delta,
-        {v: (h.canonical_key(), h.generators) for v, h in m.vgroup_image.items()},
+        {v: (canonical_key(h), h.generators) for v, h in m.vgroup_image.items()},
     )
 
 

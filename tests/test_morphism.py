@@ -9,7 +9,6 @@ from gogsep import (
     cover_index,
     fold,
     lift_loop,
-    subgroup_generators,
     subgroup_member,
     wedge,
 )
@@ -20,7 +19,7 @@ from gogsep.errors import (
 )
 from gogsep.morphism import MISSING_SHOWN
 
-from conftest import W, identity_morphism, remake
+from conftest import W, identity_morphism, remake, subgroup_generators
 
 
 def ab_immersion(pslz):

@@ -9,19 +9,25 @@ import gogsep.verifier
 from gogsep import (
     ball_map_check,
     brute_member,
-    coset_enumerate,
     crosscheck,
     enumerate_ball_elements,
     fold,
     separate_element,
-    subgroup_generators,
     subgroup_member,
     tree_ball,
     wedge,
 )
 from gogsep.errors import DidNotClose, GogsepError, UnboundedEnumeration
 
-from conftest import W, gen_corpus, identity_morphism, random_loop, remake
+from conftest import (
+    W,
+    coset_enumerate,
+    gen_corpus,
+    identity_morphism,
+    random_loop,
+    remake,
+    subgroup_generators,
+)
 
 
 # -- ball enumeration --------------------------------------------------------
