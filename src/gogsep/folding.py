@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import GraphOfGroups, Word, bar
 from .errors import EndpointMismatch, GogsepError, NotACover
@@ -157,22 +157,20 @@ def fold(m: DecoratedMorphism) -> DecoratedMorphism:
     return w.freeze() if folded else m
 
 
-def trim_core(m: DecoratedMorphism, keep: Iterable[str] = ()) -> DecoratedMorphism:
-    """Peel valence-one vertices with trivial subgroup, sparing base/keep.
+def trim_core(m: DecoratedMorphism) -> DecoratedMorphism:
+    """Peel valence-one vertices with trivial subgroup, sparing the base.
 
-    The smallest peelable vertex goes first, so a tree with no protected
-    vertex keeps its largest vertex.  Peeling a working copy from a
-    min-heap of peelable vertices makes this O((V + E) log V).
+    The smallest peelable vertex goes first, so a tree with no base
+    keeps its largest vertex.  Peeling a working copy from a min-heap of
+    peelable vertices makes this O((V + E) log V).
     """
-    protected = set(keep)
-    if m.domain.base is not None:
-        protected.add(m.domain.base)
+    base = m.domain.base
     w = _Working.of(m)
 
     def peelable(v):
         return (
             len(w.out[v]) == 1
-            and v not in protected
+            and v != base
             and w.vgroup_image[v].is_trivial()
         )
 

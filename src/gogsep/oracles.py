@@ -845,24 +845,36 @@ def oracle_from_json(doc, path="$", max_order=64) -> VertexGroup:
     if not isinstance(doc, dict):
         raise SchemaError(path, "oracle must be an object")
     kind = doc.get("kind")
+    name = doc.get("name")
+    if kind in ("finite", "cyclic") and not isinstance(name, (str, type(None))):
+        raise SchemaError(f"{path}.name", f"bad name {name!r}")
     if kind == "finite":
         if "elements" not in doc or "table" not in doc:
             raise SchemaError(path, "finite oracle needs elements and table")
+        elements, table = doc["elements"], doc["table"]
+        if not isinstance(elements, list) or not all(
+            isinstance(x, str) and x for x in elements
+        ):
+            raise SchemaError(f"{path}.elements", "must be a list of non-empty strings")
+        if not isinstance(table, dict) or not all(
+            isinstance(row, dict) and all(isinstance(x, str) for x in row.values())
+            for row in table.values()
+        ):
+            raise SchemaError(f"{path}.table", "must be an object of string objects")
         try:
-            return FiniteGroup(
-                doc["elements"], doc["table"], name=doc.get("name"),
-                max_order=max_order,
-            )
+            return FiniteGroup(elements, table, name=name, max_order=max_order)
         except GogsepError as exc:
             raise SchemaError(path, str(exc)) from exc
     if kind == "cyclic":
-        order = doc.get("order")
-        if not isinstance(order, int) or order < 1 or order > max_order:
+        order, letter = doc.get("order"), doc.get("letter", "a")
+        if type(order) is not int or order < 1 or order > max_order:
             raise SchemaError(f"{path}.order", f"bad cyclic order {order!r}")
-        return FiniteGroup.cyclic(
-            order, letter=doc.get("letter", "a"), name=doc.get("name"),
-            max_order=max_order,
-        )
+        if not isinstance(letter, str) or not letter:
+            raise SchemaError(f"{path}.letter", f"bad cyclic letter {letter!r}")
+        try:
+            return FiniteGroup.cyclic(order, letter, name=name, max_order=max_order)
+        except GogsepError as exc:
+            raise SchemaError(f"{path}.letter", str(exc)) from exc
     if kind == "integer":
         return IntGroup()
     if kind == "free":

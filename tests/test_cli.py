@@ -144,6 +144,21 @@ def test_empty_cover_vertex_id_is_a_schema_error(tmp_path, capsys):
     assert "schema error: $.cover.vertices: bad vertex id ''" in capsys.readouterr().err
 
 
+def test_non_string_cyclic_letter_is_a_schema_error(tmp_path, capsys):
+    doc = json.loads((INSTANCES / "pslz.json").read_text())
+    doc["vertices"]["u"]["letter"] = 5  # would name the C2 elements 1 and 5
+    target = write_json(tmp_path / "target.json", doc)
+    gens = write_json(tmp_path / "gens.json", {"generators": []})
+    element = write_json(
+        tmp_path / "g.json", {"start": "u", "word": ["1", "e", "b", "~e", "1"]}
+    )
+    code = main(
+        ["separate", target, "--gens", gens, "--element", element, "--seed", "0"]
+    )
+    assert code == 2
+    assert "schema error: $.vertices.u.letter" in capsys.readouterr().err
+
+
 def test_member_rejects_already_member_element(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     element = write_json(

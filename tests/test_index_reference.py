@@ -71,12 +71,9 @@ def test_edges_at_matches_a_sorted_scan(n, ops):
 # -- trim_core ---------------------------------------------------------------
 
 
-def _old_trim_alive(m, keep):
+def _old_trim_alive(m):
     """The restarting sorted sweep trim_core used to run."""
     g = m.domain.graph
-    protected = set(keep)
-    if m.domain.base is not None:
-        protected.add(m.domain.base)
     alive_vertices = set(g.vertices)
     alive_pairs = set(g.edge_pairs())
 
@@ -87,7 +84,7 @@ def _old_trim_alive(m, keep):
     while changed:
         changed = False
         for v in sorted(alive_vertices):
-            if v in protected or not m.vgroup_image[v].is_trivial():
+            if v == m.domain.base or not m.vgroup_image[v].is_trivial():
                 continue
             edges = incident(v)
             if len(edges) != 1:
@@ -135,16 +132,14 @@ def petal_covers(draw):
     ends += draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4))
     heavy = draw(st.sets(st.sampled_from(names), max_size=2))
     base = draw(st.sampled_from([None] + names))
-    keep = draw(st.sets(st.sampled_from(names), max_size=2))
-    return _over_petal(names, ends, heavy, base), keep
+    return _over_petal(names, ends, heavy, base)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(petal_covers())
-def test_trim_core_matches_the_restarting_sweep(case):
-    m, keep = case
-    alive_vertices, alive_pairs = _old_trim_alive(m, keep)
-    t = trim_core(m, keep=keep)
+def test_trim_core_matches_the_restarting_sweep(m):
+    alive_vertices, alive_pairs = _old_trim_alive(m)
+    t = trim_core(m)
     if alive_vertices == set(m.domain.graph.vertices):
         assert t is m
     assert t.domain.graph.vertices == [v for v in m.domain.graph.vertices if v in alive_vertices]

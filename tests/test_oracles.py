@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from gogsep.errors import (
 )
 
 from conftest import canonical_key
+from test_free_fold_reference import reference_core
 
 
 # -- finite kind -------------------------------------------------------------
@@ -254,19 +257,19 @@ def test_free_canonical_key_is_presentation_independent():
 # -- JSON ingestion ----------------------------------------------------------
 
 
+C2_DOC = {
+    "kind": "finite",
+    "elements": ["1", "a"],
+    "table": {"1": {"1": "1", "a": "a"}, "a": {"1": "a", "a": "1"}},
+}
+
+
 def test_oracle_from_json_kinds():
     assert oracle_from_json({"kind": "integer"}).kind == "integer"
     assert oracle_from_json({"kind": "free", "rank": 2}).rank == 2
     g = oracle_from_json({"kind": "cyclic", "order": 3, "letter": "b"})
     assert g.elements == ["1", "b", "b2"]
-    full = oracle_from_json(
-        {
-            "kind": "finite",
-            "elements": ["1", "a"],
-            "table": {"1": {"1": "1", "a": "a"}, "a": {"1": "a", "a": "1"}},
-        }
-    )
-    assert len(full.elements) == 2
+    assert len(oracle_from_json(C2_DOC).elements) == 2
 
 
 @pytest.mark.parametrize(
@@ -277,6 +280,18 @@ def test_oracle_from_json_kinds():
         ({"kind": "finite"}, "$"),
         ({"kind": "free", "rank": "two"}, "$.rank"),
         ("not a dict", "$"),
+        ({"kind": "cyclic", "order": True}, "$.order"),
+        ({"kind": "cyclic", "order": 2, "letter": 5}, "$.letter"),
+        ({"kind": "cyclic", "order": 2, "letter": "1"}, "$.letter"),
+        ({"kind": "cyclic", "order": 2, "letter": ""}, "$.letter"),
+        ({"kind": "cyclic", "order": 2, "name": 3}, "$.name"),
+        ({**C2_DOC, "elements": [[1]]}, "$.elements"),
+        ({**C2_DOC, "elements": "1a"}, "$.elements"),
+        ({**C2_DOC, "elements": ["1", ""]}, "$.elements"),
+        ({**C2_DOC, "table": []}, "$.table"),
+        ({**C2_DOC, "table": {"a": ["a"]}}, "$.table"),
+        ({**C2_DOC, "table": {"1": {"1": 1}}}, "$.table"),
+        ({**C2_DOC, "name": 3}, "$.name"),
     ],
 )
 def test_oracle_from_json_schema_errors(doc, needle):
@@ -312,15 +327,41 @@ def _elements_within(group, bound):
     return words
 
 
+def _reference_member(h, gens):
+    """Membership without coset keys: the table closure, divisibility by
+    the gcd of gens, or a trace through the naively folded core."""
+    if h.group.kind == "finite":
+        return lambda x: x in h.members
+    if h.group.kind == "integer":
+        m = math.gcd(*gens)
+        return lambda x: x % m == 0 if m else x == 0
+    _, delta = reference_core(h.group.rank, gens)
+
+    def trace(w):
+        s = 0
+        for l in w:
+            s = delta.get((s, l))
+            if s is None:
+                return False
+        return s == 0
+
+    return trace
+
+
 @pytest.mark.parametrize("name", sorted(COSET_KEY_CASES))
 def test_coset_key_equal_exactly_on_right_cosets(name):
+    """Keys match exactly when a * b^-1 lies in S, and so member(g), which
+    compares g's key with the identity's, is membership, by references that
+    use no coset key."""
     group, gens, bound = COSET_KEY_CASES[name]
     h = subgroup_generate(group, gens)
+    member = _reference_member(h, gens)
     elements = _elements_within(group, bound)
     keys = {a: h.coset_key(a) for a in elements}
     for a in elements:
+        assert h.member(a) == member(a), a
         for b in elements:
-            same = h.member(group.mul(a, group.inv(b)))
+            same = member(group.mul(a, group.inv(b)))
             assert (keys[a] == keys[b]) == same, (a, b)
     if h.index() is not None:  # the elements meet every coset
         assert len(set(keys.values())) == h.index()
@@ -328,6 +369,15 @@ def test_coset_key_equal_exactly_on_right_cosets(name):
         rep_keys = [h.coset_key(r) for r in h.coset_reps()]
         assert len(set(rep_keys)) == len(rep_keys) == h.index()
         assert set(rep_keys) == set(keys.values())
+
+
+def test_subgroup_kinds_implement_only_coset_key():
+    """Membership and triviality are shared, derived from coset_key and
+    the generators; no kind carries its own, nor an equality."""
+    derived = {"member", "is_trivial", "canonical_key", "trace", "__eq__", "__hash__"}
+    for kind in (oracles.FiniteSubgroup, oracles.IntSubgroup, oracles.FreeSubgroup):
+        assert "coset_key" in vars(kind)
+        assert not derived & set(vars(kind)), kind
 
 
 def test_free_coset_key_reads_off_the_core():

@@ -164,6 +164,14 @@ def test_verifier_imports_only_data_types_from_the_builder():
     assert imported["morphism"] == {"CheckReport", "DecoratedMorphism"}
 
 
+def test_loop_fed_references_live_in_the_tests():
+    """The Schreier loop builder and the loop-fed enumeration are test
+    references for ``_schreier_index``, not package API."""
+    for module in (gogsep, gogsep.verifier):
+        for name in ("coset_enumerate", "subgroup_generators"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
 def test_src_builds_morphisms_only_through_the_working_copy():
     """No src module calls the validating ``DecoratedMorphism(...)``
     constructor, so every morphism src makes comes from ``_Working.freeze()``."""
