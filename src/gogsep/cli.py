@@ -16,7 +16,7 @@ from .core import GraphOfGroups
 from .dotexport import gog_to_dot, morphism_to_dot
 from .enlargement import enlarge
 from .errors import GogsepError, SchemaError
-from .folding import cover_index, fold, kurosh_rank, reduced_kurosh_rank, trim_core, wedge
+from .folding import cover_index, fold, kurosh_rank, reduced_kurosh_rank, wedge
 from .jsonio import (
     certificate_from_json,
     certificate_to_json,
@@ -81,7 +81,7 @@ def cmd_fold(args) -> int:
     target = gog_from_json(_read_json(args.target), max_order=args.max_order)
     u0 = _base_vertex(target, args)
     gens = _load_words(target, _read_json(args.gens), args.gens)
-    m = trim_core(fold(wedge(target, u0, gens)))
+    m = fold(wedge(target, u0, gens))
     _write(args, dumps(morphism_to_json(m, convention=args.convention)))
     print(
         f"immersion: {len(m.domain.graph.vertices)} vertices, "

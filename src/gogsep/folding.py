@@ -160,9 +160,12 @@ def fold(m: DecoratedMorphism) -> DecoratedMorphism:
 def trim_core(m: DecoratedMorphism) -> DecoratedMorphism:
     """Peel valence-one vertices with trivial subgroup, sparing the base.
 
-    The smallest peelable vertex goes first, so a tree with no base
-    keeps its largest vertex.  Peeling a working copy from a min-heap of
-    peelable vertices makes this O((V + E) log V).
+    The fold of a wedge is already a core (a vertex off the base with
+    trivial subgroup lies inside a reduced generator's lift, which never
+    turns back), so only morphisms built by hand have hanging trees.  The
+    smallest peelable vertex goes first, so a tree with no base keeps its
+    largest vertex.  Peeling a working copy from a min-heap of peelable
+    vertices makes this O((V + E) log V).
     """
     base = m.domain.base
     w = _Working.of(m)

@@ -28,7 +28,6 @@ there, or computed from such values, and do not check them again.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import (
     ForeignElement,
@@ -551,15 +550,19 @@ class _Automaton:
                 self._half(a, l, self.find(t))
 
     def normalized(self):
-        """(base, state list, {(s, l): t}) with union-find fully applied.
+        """(base, {(s, l): t}) with union-find fully applied.
 
+        Merged states have empty rows, so only live states contribute.
         Every live state is reachable from the base: each was made on a
-        path from state 0, and merges keep that.
+        path from state 0, and merges keep that.  The result is already
+        the core: a live state other than the base lies inside the read
+        of some reduced generator, which never turns back, so it has two
+        distinct transitions.
         """
         self.fold()
-        live = sorted({self.find(s) for s in range(len(self.parent))})
-        trans = {(s, l): self.find(t) for s in live for l, t in self.adj[s].items()}
-        return self.find(0), live, trans
+        rows = enumerate(self.adj)
+        trans = {(s, l): self.find(t) for s, row in rows for l, t in row.items()}
+        return self.find(0), trans
 
 
 def _letters(rank):
@@ -568,53 +571,20 @@ def _letters(rank):
         yield -k
 
 
-def _trim_to_core(base, states, trans):
-    """Drop valence<=1 states other than the base, cascading.
+def _relabel_bfs(base, trans, rank):
+    """Canonical renumbering: BFS from base, letters in 1,-1,2,-2 order.
 
-    A valence count and a worklist make this O(states + transitions);
-    the surviving core does not depend on the order of removal.
+    Every state of ``trans`` must be reachable from the base.
     """
-    states = set(states)
-    out = {s: [] for s in states}
-    for (s, l), t in trans.items():
-        out[s].append((l, t))
-    valence = {s: len(out[s]) for s in states}
-    work = [s for s in states if s != base and valence[s] <= 1]
-    while work:
-        s = work.pop()
-        if s not in states:
-            continue
-        states.discard(s)
-        for l, t in out[s]:
-            if (s, l) not in trans:
-                continue
-            del trans[(s, l)]
-            if (t, -l) in trans:
-                del trans[(t, -l)]
-                valence[t] -= 1
-                if t != base and valence[t] <= 1:
-                    work.append(t)
-    return sorted(states), trans
-
-
-def _relabel_bfs(base, states, trans, rank):
-    """Canonical renumbering: BFS from base, letters in 1,-1,2,-2 order."""
-    number = {base: 0}
     order = [base]
-    queue = deque([base])
-    while queue:
-        s = queue.popleft()
+    number = {base: 0}
+    for s in order:  # the list grows as the search finds states
         for l in _letters(rank):
             t = trans.get((s, l))
             if t is not None and t not in number:
                 number[t] = len(order)
                 order.append(t)
-                queue.append(t)
-    out = {}
-    for (s, l), t in trans.items():
-        if s in number and t in number:
-            out[(number[s], l)] = number[t]
-    return len(order), out
+    return len(order), {(number[s], l): number[t] for (s, l), t in trans.items()}
 
 
 class FreeGroup(VertexGroup):
@@ -693,11 +663,12 @@ class FreeGroup(VertexGroup):
 
 
 class FreeSubgroup(SubgroupHandle):
-    """Finitely generated subgroup as a folded, trimmed core automaton.
+    """Finitely generated subgroup as a folded core automaton.
 
-    The automaton is canonically numbered (BFS from the base in letter
-    order), so equal subgroups carry identical data regardless of the
-    generating set they came from.
+    Folding the generators' loops gives the core with no trim (see
+    ``_Automaton.normalized``).  The automaton is canonically numbered
+    (BFS from the base in letter order), so equal subgroups carry
+    identical data regardless of the generating set they came from.
     """
 
     def __init__(self, group, generators, _auto=None):
@@ -714,9 +685,8 @@ class FreeSubgroup(SubgroupHandle):
             auto = _Automaton(group.rank)
             for g in gens:
                 auto.add_loop(g)
-            base, states, trans = auto.normalized()
-            states, trans = _trim_to_core(base, states, trans)
-            self.size, self.delta = _relabel_bfs(base, states, trans, group.rank)
+            base, trans = auto.normalized()
+            self.size, self.delta = _relabel_bfs(base, trans, group.rank)
 
     def is_complete(self):
         return all(
@@ -734,16 +704,13 @@ class FreeSubgroup(SubgroupHandle):
             return self._spanning
         reps = {0: ()}
         tree = set()
-        queue = deque([0])
-        while queue:
-            s = queue.popleft()
+        for s in range(self.size):  # states are numbered in BFS order
             for l in _letters(self.group.rank):
                 t = self.delta.get((s, l))
                 if t is not None and t not in reps:
                     reps[t] = reps[s] + (l,)
                     tree.add((s, l))
                     tree.add((t, -l))
-                    queue.append(t)
         self._spanning = (reps, tree)
         return self._spanning
 
@@ -804,7 +771,7 @@ class FreeSubgroup(SubgroupHandle):
                 delta[(t, -k)] = s
         # The completed automaton is already the folded core of the subgroup
         # its Schreier generators make, canonically numbered: no refold.
-        auto = _relabel_bfs(0, list(range(size)), delta, self.group.rank)
+        auto = _relabel_bfs(0, delta, self.group.rank)
         k = FreeSubgroup(self.group, [], _auto=auto)
         k.generators = tuple(k._schreier_generators())
         return k

@@ -20,7 +20,7 @@ from .completion import complete_to_cover
 from .core import GraphOfGroups, Word, fresh_names
 from .enlargement import enlarge
 from .errors import AlreadyMember, GogsepError
-from .folding import fold, trim_core, wedge
+from .folding import fold, wedge
 from .morphism import (
     DecoratedMorphism,
     _Working,
@@ -110,7 +110,7 @@ def separate_element(
     if g.start != u0 or not g.is_loop():
         raise GogsepError(f"element must be a loop at {u0!r}")
 
-    m = trim_core(fold(wedge(target, u0, gens)))  # wedge validates gens
+    m = fold(wedge(target, u0, gens))  # wedge validates gens
     gens = [w.reduce() for w in gens]
     v0 = m.domain.base
     m, status = attach_separating_path(m, v0, g)  # lift_loop validates g

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogsep import (
     DecoratedMorphism,
@@ -13,12 +17,24 @@ from gogsep import (
     kurosh_rank,
     reduced_kurosh_rank,
     subgroup_member,
+    Word,
     trim_core,
     wedge,
 )
 from gogsep.errors import EndpointMismatch, GogsepError, NotACover
 
-from conftest import W, identity_morphism, remake
+from conftest import (
+    W,
+    gen_corpus,
+    identity_morphism,
+    make_c2c3c2,
+    make_dinfty,
+    make_f2c2,
+    make_pslz,
+    make_rose2,
+    make_z2,
+    remake,
+)
 
 
 # -- wedge -------------------------------------------------------------------
@@ -171,6 +187,41 @@ def test_trim_core_respects_subgroups(pslz):
 
 def test_trim_core_no_op_returns_same_object(pslz):
     m = fold(wedge(pslz, "u", [W(pslz, "u", "a", "e", "b", "~e", "1")]))
+    assert trim_core(m) is m
+
+
+CORE_TARGETS = {
+    "pslz": (make_pslz, "u"),
+    "dinfty": (make_dinfty, "u"),
+    "c2c3c2": (make_c2c3c2, "u"),
+    "rose2": (make_rose2, "o"),
+    "z2": (make_z2, "x"),
+    "f2c2": (make_f2c2, "x"),
+}
+
+
+def _spelled_out(*words):
+    """The product of loops at one vertex as one word, with no reduction."""
+    groups, edges = words[0].groups, words[0].edges
+    for w in words[1:]:
+        joined = w.gog.group_at(w.start).mul(groups[-1], w.groups[0])
+        groups, edges = groups[:-1] + (joined,) + w.groups[1:], edges + w.edges
+    return Word(words[0].gog, words[0].start, groups, edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(CORE_TARGETS)), st.integers(0, 10**6), st.integers(1, 4))
+def test_the_fold_of_a_wedge_is_already_a_core(name, seed, count):
+    """A non-base vertex with trivial subgroup lies inside the lift of some
+    reduced generator, which never turns back, so trim_core finds no leaf.
+    One generator a * c * c^-1 is given unreduced, as wedge must reduce it."""
+    make, u0 = CORE_TARGETS[name]
+    target = make()
+    rng = random.Random(seed)
+    gens = gen_corpus(target, u0, rng, count)
+    c = gen_corpus(target, u0, rng, 1)[0]
+    gens.append(_spelled_out(rng.choice(gens), c, c.inverse()))
+    m = fold(wedge(target, u0, gens))
     assert trim_core(m) is m
 
 

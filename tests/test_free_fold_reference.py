@@ -117,4 +117,7 @@ def generating_sets(draw):
 def test_free_subgroup_core_matches_a_naive_fold(case):
     rank, gens = case
     h = FreeGroup(rank).subgroup(gens)
+    # folding alone gives the core: no state but the base is a leaf
+    valence = Counter(s for s, _ in h.delta)
+    assert all(valence[s] >= 2 for s in range(1, h.size))
     assert (h.size, h.delta) == reference_core(rank, gens)

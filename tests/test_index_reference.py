@@ -1,7 +1,7 @@
 """Indexed local maps against the plain scans they replace.
 
-``Graph.edges_at`` reads a per-vertex edge list, both trims run valence
-worklists, and fold finding and the immersion check bucket lifts by
+``Graph.edges_at`` reads a per-vertex edge list, ``trim_core`` runs a
+valence worklist, and fold finding and the immersion check bucket lifts by
 ``SubgroupHandle.coset_key``.  Each test here keeps the direct scan as
 the reference and requires the same answer, in the same order.
 """
@@ -22,7 +22,6 @@ from gogsep import (
 )
 from gogsep.folding import _find_fold, _fold_once, trim_core
 from gogsep.morphism import _Working
-from gogsep.oracles import _trim_to_core
 
 from conftest import gen_corpus, make_f2c2, make_pslz, make_z2
 
@@ -151,56 +150,6 @@ def test_trim_core_peels_an_unprotected_path_in_sorted_order():
     # v1 < v10 < v2: v1 goes first, then v10, and v2 is left alone
     t = trim_core(_over_petal(["v2", "v10", "v1"], [("v2", "v10"), ("v10", "v1")]))
     assert t.domain.graph.vertices == ["v2"]
-
-
-# -- oracles._trim_to_core ---------------------------------------------------
-
-
-def _old_trim_to_core(base, states, trans):
-    states = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(states):
-            if s == base:
-                continue
-            incident = [(l, t) for (q, l), t in trans.items() if q == s]
-            if len(incident) <= 1:
-                states.discard(s)
-                for l, t in incident:
-                    del trans[(s, l)]
-                    if (t, -l) in trans:
-                        del trans[(t, -l)]
-                changed = True
-    return sorted(states), trans
-
-
-@st.composite
-def automata(draw):
-    """A deterministic, inverse-closed automaton over F2 letters."""
-    n = draw(st.integers(1, 10))
-    trans = {}
-    for s, l, t in draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1, 2, -2]), st.integers(0, n - 1)),
-            max_size=14,
-        )
-    ):
-        if (s, l) in trans or (t, -l) in trans:
-            continue
-        trans[(s, l)] = t
-        trans[(t, -l)] = s
-    return draw(st.integers(0, n - 1)), list(range(n)), trans
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(automata())
-def test_trim_to_core_matches_the_sweep(auto):
-    base, states, trans = auto
-    want_states, want = _old_trim_to_core(base, states, dict(trans))
-    got_states, got = _trim_to_core(base, states, dict(trans))
-    assert got_states == want_states
-    assert list(got.items()) == list(want.items())
 
 
 # -- fold finding and the immersion check ------------------------------------

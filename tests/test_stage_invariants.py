@@ -13,7 +13,6 @@ from gogsep import (
     complete_to_cover,
     enlarge,
     fold,
-    trim_core,
     wedge,
 )
 
@@ -37,8 +36,7 @@ CASES = {
 def _stages(target, u0, gens, g):
     """Each stage's output along separate_element's path, by stage name."""
     out = {"wedge": wedge(target, u0, gens)}
-    out["fold"] = fold(out["wedge"])
-    out["trim"] = m = trim_core(out["fold"])
+    out["fold"] = m = fold(out["wedge"])
     m, status = attach_separating_path(m, m.domain.base, g)
     out[status[0]] = m
     extra = {m.domain.base: [status[1]]} if status[0] == "loop" else None
