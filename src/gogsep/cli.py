@@ -191,15 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", "-o", help="write result to a file")
-            p.add_argument(
-                "--convention",
-                choices=("right", "paper-left"),
-                default="right",
-                help="coset convention for emitted documents",
-            )
+    def common(p):
+        p.add_argument("--output", "-o", help="write result to a file")
+        p.add_argument(
+            "--convention",
+            choices=("right", "paper-left"),
+            default="right",
+            help="coset convention for emitted documents",
+        )
 
     p = sub.add_parser("fold", help="fold generator loops into an immersion")
     p.add_argument("target", help="graph-of-groups JSON file")

@@ -15,7 +15,6 @@ from typing import Optional
 
 from .core import bar, fresh_names
 from .errors import (
-    GogsepError,
     InfiniteIndexVertex,
     NotAnImmersion,
     UnboundedEnumeration,
@@ -89,9 +88,8 @@ def complete_to_cover(
             if lkey not in lhs or rkey not in rhs:
                 raise NotAnImmersion(f"lifts of {f!r} collide on a coset slot")
             del lhs[lkey], rhs[rkey]
+        # both sides began with d slots and lost one per lift: equal counts
         free_l, free_r = list(lhs.items()), list(rhs.items())
-        if len(free_l) != len(free_r):
-            raise GogsepError("slot counts disagree; fibers are inconsistent")
 
         def slot_sort(slot):
             (v, _), rep = slot

@@ -65,6 +65,26 @@ def _convention(doc, path) -> str:
     return c
 
 
+def _edge_record(e, epath, vertices, ids):
+    """(id, from, to) of an edge record whose endpoints lie in ``vertices``.
+
+    The id must be new to ``ids``, the set of ids read so far, and joins it.
+    """
+    if not isinstance(e, dict):
+        raise SchemaError(epath, "edge must be an object")
+    eid = _expect(e, "id", str, epath)
+    if not eid or eid.startswith("~"):
+        raise SchemaError(f"{epath}.id", f"bad edge id {eid!r}")
+    if eid in ids:
+        raise SchemaError(f"{epath}.id", f"duplicate edge {eid!r}")
+    frm = _expect(e, "from", str, epath)
+    to = _expect(e, "to", str, epath)
+    if frm not in vertices or to not in vertices:
+        raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
+    ids.add(eid)
+    return eid, frm, to
+
+
 # ---------------------------------------------------------------------------
 # graphs of groups
 
@@ -99,22 +119,9 @@ def gog_from_json(doc, path="$", max_order=64) -> GraphOfGroups:
         oracles[v] = oracle_from_json(
             vertices[v], path=f"{path}.vertices.{v}", max_order=max_order
         )
-    edges = _expect(doc, "edges", list, path)
-    for i, e in enumerate(edges):
-        epath = f"{path}.edges[{i}]"
-        if not isinstance(e, dict):
-            raise SchemaError(epath, "edge must be an object")
-        eid = _expect(e, "id", str, epath)
-        if not eid or eid.startswith("~"):
-            raise SchemaError(f"{epath}.id", f"bad edge id {eid!r}")
-        frm = _expect(e, "from", str, epath)
-        to = _expect(e, "to", str, epath)
-        if frm not in oracles or to not in oracles:
-            raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
-        try:
-            graph.add_edge(eid, frm, to)
-        except GogsepError as exc:
-            raise SchemaError(f"{epath}.id", str(exc)) from exc
+    ids = set()
+    for i, e in enumerate(_expect(doc, "edges", list, path)):
+        graph.add_edge(*_edge_record(e, f"{path}.edges[{i}]", oracles, ids))
     base = _expect(doc, "base", str, path, optional=True)
     if base is not None and base not in oracles:
         raise SchemaError(f"{path}.base", f"unknown vertex {base!r}")
@@ -234,16 +241,11 @@ def _domain_from_json(
             except ForeignElement as exc:
                 raise SchemaError(f"{vpath}.subgroup[{i}]", str(exc)) from exc
         w.add_vertex(v, u, subgroup_generate(oracle, gens))
+    ids = set()
     for i, e in enumerate(_expect(doc, "edges", list, path)):
         epath = f"{path}.edges[{i}]"
-        if not isinstance(e, dict):
-            raise SchemaError(epath, "edge must be an object")
-        eid = _expect(e, "id", str, epath)
-        frm = _expect(e, "from", str, epath)
-        to = _expect(e, "to", str, epath)
+        eid, frm, to = _edge_record(e, epath, w.out, ids)
         onto = _expect(e, "onto", str, epath)
-        if frm not in w.out or to not in w.out:
-            raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
         if not target.graph.has_edge(onto):
             raise SchemaError(f"{epath}.onto", f"unknown target edge {onto!r}")
         if target.graph.iota(onto) != w.vertex_map[frm] or (
@@ -252,10 +254,6 @@ def _domain_from_json(
             raise SchemaError(
                 f"{epath}.onto", f"{onto!r} does not run under the edge {eid!r}"
             )
-        if not eid or eid.startswith("~"):
-            raise SchemaError(f"{epath}.id", f"bad edge id {eid!r}")
-        if eid in w.iota:
-            raise SchemaError(f"{epath}.id", f"duplicate edge {eid!r}")
         o_i, o_t = w.oracle_at(frm), w.oracle_at(to)
         try:
             d = o_i.parse_element(_expect(e, "delta", None, epath))

@@ -134,6 +134,16 @@ class SubgroupHandle:
 
     def separate(self, excluded) -> "SubgroupHandle":
         """Finite-index K >= S with K disjoint from the excluded set."""
+        excluded = list(excluded)
+        for x in excluded:
+            if self.member(x):
+                raise NotSeparated(
+                    f"{self.group.format_element(x)} lies in the subgroup"
+                )
+        return self._overgroup(excluded)
+
+    def _overgroup(self, excluded) -> "SubgroupHandle":
+        """``separate`` once no excluded element lies in S."""
         raise NotImplementedError
 
     def conjugated(self, t) -> "SubgroupHandle":
@@ -317,12 +327,7 @@ class FiniteSubgroup(SubgroupHandle):
     def coset_key(self, g):
         return self._transversal()[1][g]
 
-    def separate(self, excluded):
-        for x in excluded:
-            if self.member(x):
-                raise NotSeparated(
-                    f"{self.group.format_element(x)} lies in the subgroup"
-                )
+    def _overgroup(self, excluded):
         return self
 
     def describe(self):
@@ -424,11 +429,7 @@ class IntSubgroup(SubgroupHandle):
     def coset_key(self, g):
         return g % self.modulus if self.modulus else g
 
-    def separate(self, excluded):
-        excluded = list(excluded)
-        for x in excluded:
-            if self.member(x):
-                raise NotSeparated(f"{x} lies in {self.describe()}")
+    def _overgroup(self, excluded):
         if self.modulus != 0:
             return self
         # The least modulus that divides no excluded element: a few prime
@@ -437,10 +438,6 @@ class IntSubgroup(SubgroupHandle):
         while any(x % n == 0 for x in excluded):
             n += 1
         return IntSubgroup(self.group, [n])
-
-    def conjugated(self, t):
-        self.group.check(t)
-        return IntSubgroup(self.group, list(self.generators))
 
     def describe(self):
         return f"{_decimal(self.modulus)}Z"
@@ -740,15 +737,10 @@ class FreeSubgroup(SubgroupHandle):
             s = t
         return (s, ())
 
-    def separate(self, excluded):
+    def _overgroup(self, excluded):
         excluded = sorted(
             {_mul_free((), x) for x in excluded}, key=self.group.sort_key
         )
-        for x in excluded:
-            if self.member(x):
-                raise NotSeparated(
-                    f"{self.group.format_element(x)} lies in the subgroup"
-                )
         size, delta = self.size, dict(self.delta)
         # Hair: materialize the full path of each excluded word so its
         # endpoint is pinned away from the base before completion.
