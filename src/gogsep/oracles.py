@@ -469,7 +469,7 @@ class _Automaton:
 
     Transitions are stored in both directions: (s, l) -> t always comes
     with (t, -l) -> s.  Folding is union-find driven; stale targets are
-    resolved through find() and squeezed out by normalize().
+    resolved through find() and squeezed out by normalized().
     """
 
     def __init__(self, rank):
@@ -547,9 +547,9 @@ class _Automaton:
                 self._half(a, l, self.find(t))
 
     def normalized(self):
-        """(base, {(s, l): t}) with union-find fully applied.
+        """(base, rows): each state's row {letter: state}, union-find applied.
 
-        Merged states have empty rows, so only live states contribute.
+        Merged states have empty rows, so only live states have transitions.
         Every live state is reachable from the base: each was made on a
         path from state 0, and merges keep that.  The result is already
         the core: a live state other than the base lies inside the read
@@ -557,9 +557,8 @@ class _Automaton:
         distinct transitions.
         """
         self.fold()
-        rows = enumerate(self.adj)
-        trans = {(s, l): self.find(t) for s, row in rows for l, t in row.items()}
-        return self.find(0), trans
+        rows = [{l: self.find(t) for l, t in row.items()} for row in self.adj]
+        return self.find(0), rows
 
 
 def _letters(rank):
@@ -568,20 +567,21 @@ def _letters(rank):
         yield -k
 
 
-def _relabel_bfs(base, trans, rank):
+def _relabel_bfs(base, rows, rank):
     """Canonical renumbering: BFS from base, letters in 1,-1,2,-2 order.
 
-    Every state of ``trans`` must be reachable from the base.
+    Returns the rows of the states reachable from the base, renumbered;
+    a state with a transition must be one of them.
     """
     order = [base]
     number = {base: 0}
     for s in order:  # the list grows as the search finds states
         for l in _letters(rank):
-            t = trans.get((s, l))
+            t = rows[s].get(l)
             if t is not None and t not in number:
                 number[t] = len(order)
                 order.append(t)
-    return len(order), {(number[s], l): number[t] for (s, l), t in trans.items()}
+    return [{l: number[t] for l, t in rows[s].items()} for s in order]
 
 
 class FreeGroup(VertexGroup):
@@ -663,12 +663,14 @@ class FreeSubgroup(SubgroupHandle):
     """Finitely generated subgroup as a folded core automaton.
 
     Folding the generators' loops gives the core with no trim (see
-    ``_Automaton.normalized``).  The automaton is canonically numbered
-    (BFS from the base in letter order), so equal subgroups carry
-    identical data regardless of the generating set they came from.
+    ``_Automaton.normalized``).  ``rows[s]`` maps each letter read at state
+    s to its target, canonically numbered (BFS from the base in letter
+    order), so equal subgroups carry identical rows regardless of the
+    generating set they came from.  The rows never change, so the index is
+    fixed when the handle is built.
     """
 
-    def __init__(self, group, generators, _auto=None):
+    def __init__(self, group, generators, _rows=None):
         gens = []
         for g in generators:
             group.check(g)
@@ -676,24 +678,17 @@ class FreeSubgroup(SubgroupHandle):
                 gens.append(g)
         super().__init__(group, tuple(gens))
         self._spanning = None
-        if _auto is not None:
-            self.size, self.delta = _auto
-        else:
+        if _rows is None:
             auto = _Automaton(group.rank)
             for g in gens:
                 auto.add_loop(g)
-            base, trans = auto.normalized()
-            self.size, self.delta = _relabel_bfs(base, trans, group.rank)
-
-    def is_complete(self):
-        return all(
-            (s, l) in self.delta
-            for s in range(self.size)
-            for l in _letters(self.group.rank)
-        )
+            _rows = _relabel_bfs(*auto.normalized(), group.rank)
+        self.rows = _rows
+        complete = all(len(row) == 2 * group.rank for row in _rows)
+        self._index = len(_rows) if complete else None
 
     def index(self):
-        return self.size if self.is_complete() else None
+        return self._index
 
     def _spanning_reps(self):
         """BFS-tree coset representative word for every state (cached)."""
@@ -701,9 +696,9 @@ class FreeSubgroup(SubgroupHandle):
             return self._spanning
         reps = {0: ()}
         tree = set()
-        for s in range(self.size):  # states are numbered in BFS order
+        for s, row in enumerate(self.rows):  # states are numbered in BFS order
             for l in _letters(self.group.rank):
-                t = self.delta.get((s, l))
+                t = row.get(l)
                 if t is not None and t not in reps:
                     reps[t] = reps[s] + (l,)
                     tree.add((s, l))
@@ -712,10 +707,10 @@ class FreeSubgroup(SubgroupHandle):
         return self._spanning
 
     def coset_reps(self, limit=None):
-        if not self.is_complete():
+        if self._index is None:
             raise InfiniteIndex(f"{self.describe()} has infinite index")
         reps, _ = self._spanning_reps()
-        return [reps[s] for s in range(self.size)[:limit]]
+        return [reps[s] for s in range(self._index)[:limit]]
 
     def coset_key(self, g):
         """(state where tracing g stops, unread suffix of g).
@@ -731,7 +726,7 @@ class FreeSubgroup(SubgroupHandle):
         """
         s = 0
         for i, l in enumerate(g):
-            t = self.delta.get((s, l))
+            t = self.rows[s].get(l)
             if t is None:
                 return (s, g[i:])
             s = t
@@ -741,39 +736,36 @@ class FreeSubgroup(SubgroupHandle):
         excluded = sorted(
             {_mul_free((), x) for x in excluded}, key=self.group.sort_key
         )
-        size, delta = self.size, dict(self.delta)
+        rows = [dict(row) for row in self.rows]
         # Hair: materialize the full path of each excluded word so its
         # endpoint is pinned away from the base before completion.
         for x in excluded:
             s = 0
             for l in x:
-                t = delta.get((s, l))
+                t = rows[s].get(l)
                 if t is None:
-                    t = size
-                    size += 1
-                    delta[(s, l)] = t
-                    delta[(t, -l)] = s
+                    t = rows[s][l] = len(rows)
+                    rows.append({-l: s})
                 s = t
         # Complete each letter's partial injection to a permutation.
         for k in range(1, self.group.rank + 1):
-            missing_src = [s for s in range(size) if (s, k) not in delta]
-            missing_dst = [s for s in range(size) if (s, -k) not in delta]
+            missing_src = [s for s, row in enumerate(rows) if k not in row]
+            missing_dst = [s for s, row in enumerate(rows) if -k not in row]
             for s, t in zip(missing_src, missing_dst):
-                delta[(s, k)] = t
-                delta[(t, -k)] = s
+                rows[s][k] = t
+                rows[t][-k] = s
         # The completed automaton is already the folded core of the subgroup
         # its Schreier generators make, canonically numbered: no refold.
-        auto = _relabel_bfs(0, delta, self.group.rank)
-        k = FreeSubgroup(self.group, [], _auto=auto)
+        k = FreeSubgroup(self.group, [], _rows=_relabel_bfs(0, rows, self.group.rank))
         k.generators = tuple(k._schreier_generators())
         return k
 
     def _schreier_generators(self):
         reps, tree = self._spanning_reps()
         gens = []
-        for s in range(self.size):
+        for s, row in enumerate(self.rows):
             for k in range(1, self.group.rank + 1):
-                t = self.delta.get((s, k))
+                t = row.get(k)
                 if t is None or (s, k) in tree:
                     continue
                 w = _mul_free(_mul_free(reps[s], (k,)), _inv_free(reps[t]))

@@ -224,7 +224,7 @@ def canonical_key(h):
         return ("finite", tuple(sorted(h.members, key=h.group.sort_key)))
     if h.group.kind == "integer":
         return ("integer", h.modulus)
-    return ("free", h.size, tuple(sorted(h.delta.items())))
+    return ("free", tuple(tuple(sorted(row.items())) for row in h.rows))
 
 
 # -- Schreier loops and the loop-fed coset enumeration ------------------------

@@ -5,15 +5,18 @@ and lays new states only on the part it cannot read.  The reference below
 is the textbook construction: one fresh path per generator, all folded at
 the end, then trimmed to the core and numbered by BFS from the base in
 letter order 1, -1, 2, -2, ...  The folded core of a generating set is
-unique, so both must give the same ``(size, delta)``.
+unique, so both must give the same numbered core.  The index, coset
+representatives and coset keys are then read off the reference core.
 """
 
 from collections import Counter, deque
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gogsep import FreeGroup
+from gogsep.errors import InfiniteIndex
 
 
 def _letters(rank):
@@ -118,6 +121,57 @@ def test_free_subgroup_core_matches_a_naive_fold(case):
     rank, gens = case
     h = FreeGroup(rank).subgroup(gens)
     # folding alone gives the core: no state but the base is a leaf
-    valence = Counter(s for s, _ in h.delta)
-    assert all(valence[s] >= 2 for s in range(1, h.size))
-    assert (h.size, h.delta) == reference_core(rank, gens)
+    assert all(len(row) >= 2 for row in h.rows[1:])
+    trans = {(s, l): t for s, row in enumerate(h.rows) for l, t in row.items()}
+    assert (len(h.rows), trans) == reference_core(rank, gens)
+
+
+def reference_trace(trans, g):
+    """(state where reading g from the base stops, unread suffix of g)."""
+    s = 0
+    for i, l in enumerate(g):
+        t = trans.get((s, l))
+        if t is None:
+            return (s, g[i:])
+        s = t
+    return (s, ())
+
+
+def assert_matches_reference(h, rank, words):
+    size, trans = reference_core(rank, h.generators)
+    # finite index exactly when every state reads all 2*rank letters
+    complete = len(trans) == 2 * rank * size
+    assert h.index() == (size if complete else None)
+    if complete:
+        # the i-th representative reads from the base to state i
+        reps = h.coset_reps()
+        assert [reference_trace(trans, r) for r in reps] == [(s, ()) for s in range(size)]
+        assert h.coset_reps(limit=2) == reps[:2]
+    else:
+        with pytest.raises(InfiniteIndex):
+            h.coset_reps()
+    for g in words:
+        assert h.coset_key(g) == reference_trace(trans, g)
+
+
+@st.composite
+def subgroups_and_words(draw):
+    rank, gens = draw(generating_sets())
+    letters = list(_letters(rank))
+    words = st.lists(st.sampled_from(letters), max_size=8).map(_reduce)
+    return rank, gens, draw(st.lists(words, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subgroups_and_words())
+@example((0, [], [()]))  # F0: the trivial group is its own subgroup, index 1
+@example((1, [(1,)], [(1, 1), (-1,)]))  # all of F1
+@example((2, [(1,)], [(2,), (1, 2, -1)]))  # <x1> in F2: infinite index
+def test_free_subgroup_index_reps_and_keys_match_the_reference(case):
+    rank, gens, words = case
+    h = FreeGroup(rank).subgroup(gens)
+    assert_matches_reference(h, rank, words)
+    # the overgroup separate builds, checked against the fold of its generators
+    k = h.separate([x for x in words if not h.member(x)])
+    assert k.index() is not None
+    assert_matches_reference(k, rank, words)

@@ -191,7 +191,7 @@ def test_reading_free_vertex_subgroups_costs_about_their_cores(monkeypatch):
     monkeypatch.setattr(_Automaton, "new_state", counted)
     back = certificate_from_json(json.loads(text))
     states = sum(
-        h.size for h in back.cover.vgroup_image.values() if isinstance(h, FreeSubgroup)
+        len(h.rows) for h in back.cover.vgroup_image.values() if isinstance(h, FreeSubgroup)
     )
     assert states == 15
     assert len(calls) <= 2 * states

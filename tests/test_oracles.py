@@ -230,7 +230,7 @@ def test_free_separate_equals_a_refold_of_its_generators(case):
     excluded = [x for x in excluded if not h.member(x)]
     k = h.separate(excluded)
     refold = subgroup_generate(g, k.generators)
-    assert (k.size, k.delta, k.generators) == (refold.size, refold.delta, refold.generators)
+    assert (k.rows, k.generators) == (refold.rows, refold.generators)
     assert canonical_key(k) == canonical_key(refold)
     assert k.index() is not None
     assert not any(k.member(x) for x in excluded)
