@@ -36,10 +36,12 @@ def _read_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(path, "no such file")
+    except OSError as exc:  # no such file, a directory, no permission, ...
+        raise SchemaError(path, f"cannot read: {exc.strerror or exc}")
     except ValueError as exc:  # bad JSON, or a number past the digit limit
         raise SchemaError(path, f"not JSON: {exc}")
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise SchemaError(path, "not JSON: nested too deeply")
 
 
 def _write(args, text: str):

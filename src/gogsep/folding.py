@@ -164,31 +164,29 @@ def trim_core(m: DecoratedMorphism) -> DecoratedMorphism:
     trivial subgroup lies inside a reduced generator's lift, which never
     turns back), so only morphisms built by hand have hanging trees.  The
     smallest peelable vertex goes first, so a tree with no base keeps its
-    largest vertex.  Peeling a working copy from a min-heap of peelable
-    vertices makes this O((V + E) log V).
+    largest vertex.  Peeling a working copy, made only when there is
+    something to peel, from a min-heap of peelable vertices makes this
+    O((V + E) log V).
     """
     base = m.domain.base
-    w = _Working.of(m)
 
-    def peelable(v):
-        return (
-            len(w.out[v]) == 1
-            and v != base
-            and w.vgroup_image[v].is_trivial()
-        )
+    def peelable(v, edges):
+        return len(edges) == 1 and v != base and m.vgroup_image[v].is_trivial()
 
-    heap = sorted(v for v in w.out if peelable(v))
+    g = m.domain.graph
+    heap = sorted(v for v in g.vertices if peelable(v, g.edges_at(v)))
     if not heap:
         return m
+    w = _Working.of(m)
     while heap:
         v = heapq.heappop(heap)
-        if v not in w.out or not peelable(v):
+        if v not in w.out or not peelable(v, w.out[v]):
             continue
         (d,) = w.out[v]
         x = w.tau(d)
         w.drop_pair(d)
         w.drop_vertex(v)
-        if peelable(x):
+        if peelable(x, w.out[x]):
             heapq.heappush(heap, x)
     return w.freeze()
 

@@ -584,14 +584,20 @@ def _relabel_bfs(base, rows, rank):
     return [{l: number[t] for l, t in rows[s].items()} for s in order]
 
 
+# The largest free rank: a subgroup of index n in F_r has n*(r-1)+1 Schreier
+# generators, so output is linear in the rank's value and exponential in its
+# digits.  Tests and workloads use rank 3 at most.
+MAX_RANK = 64
+
+
 class FreeGroup(VertexGroup):
     """Free group of finite rank; subgroups carried as folded core automata."""
 
     kind = "free"
 
     def __init__(self, rank):
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-            raise GogsepError(f"free group rank must be a non-negative int: {rank!r}")
+        if type(rank) is not int or not 0 <= rank <= MAX_RANK:
+            raise GogsepError(f"free group rank must be an int in 0..{MAX_RANK}: {rank!r}")
         self.rank = rank
         self._syllables = {}  # each syllable read so far -> its letter
 

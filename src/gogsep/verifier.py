@@ -36,33 +36,19 @@ def _require_finite(gog: GraphOfGroups, what: str):
 
 
 def enumerate_ball_elements(gog: GraphOfGroups, u0: str, n: int) -> list[Word]:
-    """All reduced loops at u0 with at most n edges, in a fixed order."""
-    _require_finite(gog, "ball enumeration")
-    graph = gog.graph
-    if not graph.has_vertex(u0):
+    """All reduced loops at u0 with at most n edges, shortest first.
+
+    They are the paths of ``tree_ball`` that end over u0, each closed by
+    every element of the group at u0, so the same cap bounds them.
+    """
+    if not gog.graph.has_vertex(u0):
         raise GogsepError(f"unknown vertex {u0!r}")
-    base_oracle = gog.group_at(u0)
     out = []
-
-    def emit(letters, edges):
-        for g in base_oracle.elements:
-            out.append(Word(gog, u0, tuple(letters) + (g,), tuple(edges)))
-
-    def rec(v, letters, edges):
-        if edges and v == u0:
-            emit(letters, edges)
-        if len(edges) == n:
-            return
-        oracle = gog.group_at(v)
-        for e in graph.edges_at(v):
-            backtrack = bool(edges) and e == bar(edges[-1])
-            for x in oracle.elements:
-                if backtrack and oracle.is_identity(x):
-                    continue
-                rec(graph.tau(e), letters + [x], edges + [e])
-
-    emit([], [])
-    rec(u0, [], [])
+    for path in tree_ball(gog, u0, n):
+        if path and gog.graph.tau(path[-1][1]) != u0:
+            continue
+        letters, edges = tuple(x for x, _ in path), tuple(e for _, e in path)
+        out.extend(Word(gog, u0, letters + (g,), edges) for g in gog.group_at(u0).elements)
     return out
 
 

@@ -15,7 +15,7 @@ from gogsep import (
 from gogsep.cli import main
 from gogsep.completion import DEGREE_CAP
 from gogsep.errors import ElementOutOfGroup, ForeignElement
-from gogsep.oracles import MAX_ORDER_CEILING
+from gogsep.oracles import MAX_ORDER_CEILING, MAX_RANK
 
 from conftest import INSTANCES, W
 from test_jsonio import _rename_q1
@@ -274,6 +274,30 @@ def test_huge_json_number_is_a_schema_error(tmp_path, capsys):
     code = main(["separate", z2, "--gens", str(gens), "--element", element])
     assert code == 2
     assert "schema error" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["verify", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error") and err.count("\n") == 1
+
+
+def test_a_directory_as_input_is_a_schema_error(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error") and err.count("\n") == 1
+
+
+def test_free_rank_past_its_ceiling_is_a_schema_error(tmp_path, capsys):
+    gens = write_json(tmp_path / "gens.json", [{"start": "x", "word": ["x1"]}])
+    element = write_json(tmp_path / "g.json", {"start": "x", "word": ["x2"]})
+    for rank, code in ((MAX_RANK, 0), (MAX_RANK + 1, 2)):
+        target = write_json(tmp_path / "f.json", {
+            "vertices": {"x": {"kind": "free", "rank": rank}}, "edges": [], "base": "x"})
+        assert main(["separate", target, "--gens", gens, "--element", element]) == code
+    assert "$.vertices.x.rank" in capsys.readouterr().err
 
 
 def test_crosscheck_radius_past_the_ball_cap_fails_cleanly(tmp_path, capsys):

@@ -22,6 +22,7 @@ from gogsep import (
     wedge,
 )
 from gogsep.errors import EndpointMismatch, GogsepError, NotACover
+from gogsep.morphism import _Working
 
 from conftest import (
     W,
@@ -187,6 +188,16 @@ def test_trim_core_respects_subgroups(pslz):
 
 def test_trim_core_no_op_returns_same_object(pslz):
     m = fold(wedge(pslz, "u", [W(pslz, "u", "a", "e", "b", "~e", "1")]))
+    assert trim_core(m) is m
+
+
+def test_trim_core_copies_nothing_when_there_is_nothing_to_peel(pslz, monkeypatch):
+    m = fold(wedge(pslz, "u", [W(pslz, "u", "a", "e", "b", "~e", "1")]))
+
+    def no_copy(cls, m):
+        raise AssertionError("trim_core copied a morphism with no leaf")
+
+    monkeypatch.setattr(_Working, "of", classmethod(no_copy))
     assert trim_core(m) is m
 
 

@@ -50,6 +50,14 @@ def test_ball_rejects_infinite_vertex_groups(z2):
         enumerate_ball_elements(z2, "x", 2)
 
 
+def test_ball_enumeration_stops_at_the_tree_ball_cap(pslz):
+    # radius 27 fits under BALL_CAP; radius 28 would pass it, so nothing
+    # is enumerated (an unbounded walk makes 131,066 loops there)
+    assert len(tree_ball(pslz, "u", 27)) <= gogsep.verifier.BALL_CAP
+    with pytest.raises(UnboundedEnumeration):
+        enumerate_ball_elements(pslz, "u", 28)
+
+
 # -- brute-force membership --------------------------------------------------
 
 
