@@ -570,8 +570,7 @@ def _letters(rank):
 def _relabel_bfs(base, rows, rank):
     """Canonical renumbering: BFS from base, letters in 1,-1,2,-2 order.
 
-    Returns the rows of the states reachable from the base, renumbered;
-    a state with a transition must be one of them.
+    Returns the rows of the states reachable from the base, renumbered.
     """
     order = [base]
     number = {base: 0}
