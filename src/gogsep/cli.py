@@ -46,8 +46,11 @@ def _read_json(path: str):
 
 def _write(args, text: str):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a directory, no permission, a full disk, ...
+            raise GogsepError(f"cannot write {args.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

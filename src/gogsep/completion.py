@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .core import bar, fresh_names
+from .core import fresh_names
 from .errors import (
     InfiniteIndexVertex,
     NotAnImmersion,
@@ -77,14 +77,16 @@ def complete_to_cover(
 
     # At finite index every coset key is some transversal rep's key, so a
     # lift finds its slot gone only when another lift of f took it.
-    lifts = lifts_by_edge(m.domain.graph.directed_edges, m.edge_map)
-    fresh_edge = fresh_names(m.domain.graph.edge_pairs())
+    dom = m.domain.graph
+    lifts = lifts_by_edge(dom.directed_edges, m.edge_map)
+    fresh_edge = fresh_names(dom.edge_pairs())
     for f in tgt.edge_pairs():
         lhs, rhs = free_slots(tgt.iota(f)), free_slots(tgt.tau(f))
         for e in lifts.get(f, ()):
-            v, w = m.domain.graph.iota(e), m.domain.graph.tau(e)
+            back = dom._rev[e]
+            v, w = dom._iota[e], dom._iota[back]
             lkey = (v, m.vgroup_image[v].coset_key(m.delta[e]))
-            rkey = (w, m.vgroup_image[w].coset_key(m.delta[bar(e)]))
+            rkey = (w, m.vgroup_image[w].coset_key(m.delta[back]))
             if lkey not in lhs or rkey not in rhs:
                 raise NotAnImmersion(f"lifts of {f!r} collide on a coset slot")
             del lhs[lkey], rhs[rkey]

@@ -64,12 +64,17 @@ class Graph:
     """Finite graph with involutive directed edges.
 
     Each vertex keeps the directed edges leaving it in a list sorted by
-    id, so ``edges_at`` costs O(deg v).
+    id, so ``edges_at`` costs O(deg v), and each directed edge its start
+    and its reverse, so ``tau`` is one lookup and no loop parses a name.
+    The package's edge walks read ``_out``, ``_iota`` and ``_rev``
+    directly; only ``add_vertex``, ``add_edge`` and
+    ``morphism._Working.freeze`` write them.
     """
 
     def __init__(self):
         self._out: dict[str, list[str]] = {}  # vertex -> edges leaving it
         self._iota: dict[str, str] = {}
+        self._rev: dict[str, str] = {}  # directed edge -> its reverse
 
     def add_vertex(self, v: str):
         if not isinstance(v, str) or not v:
@@ -88,10 +93,11 @@ class Graph:
         for v in (frm, to):
             if v not in self._out:
                 raise GogsepError(f"edge {name!r} touches unknown vertex {v!r}")
-        self._iota[name] = frm
-        self._iota[bar(name)] = to
+        back = bar(name)
+        self._iota[name], self._iota[back] = frm, to
+        self._rev[name], self._rev[back] = back, name
         bisect.insort(self._out[frm], name)
-        bisect.insort(self._out[to], bar(name))
+        bisect.insort(self._out[to], back)
         return name
 
     @property
@@ -113,12 +119,16 @@ class Graph:
         return e in self._iota
 
     def iota(self, e: str) -> str:
-        if e not in self._iota:
-            raise GogsepError(f"unknown edge {e!r}")
-        return self._iota[e]
+        try:
+            return self._iota[e]
+        except KeyError:
+            raise GogsepError(f"unknown edge {e!r}") from None
 
     def tau(self, e: str) -> str:
-        return self.iota(bar(e))
+        try:
+            return self._iota[self._rev[e]]
+        except KeyError:
+            raise GogsepError(f"unknown edge {e!r}") from None
 
     def edges_at(self, v: str) -> list[str]:
         """Directed edges with iota(e) = v, in sorted id order (a new list)."""
@@ -133,7 +143,7 @@ class Graph:
         while stack:
             v = stack.pop()
             for e in self._out[v]:
-                w = self._iota[bar(e)]
+                w = self._iota[self._rev[e]]
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -193,6 +203,10 @@ class Word:
         """The vertex where group letter i sits."""
         return self.start if i == 0 else self.gog.graph.tau(self.edges[i - 1])
 
+    def _vertices(self) -> list[str]:
+        """The vertex where each group letter sits, in order."""
+        return [self.start, *map(self.gog.graph.tau, self.edges)]
+
     @property
     def end(self) -> str:
         # the entry points test is_loop() before they validate the word
@@ -204,39 +218,46 @@ class Word:
         return self.start == self.end
 
     def validate(self):
+        """Check that the edges chain from start, then each group letter;
+        one walk fixes the vertex of every letter."""
         g = self.gog.graph
         if not g.has_vertex(self.start):
             raise EdgeChainBroken(f"unknown start vertex {self.start!r}")
-        v = self.start
-        for i, e in enumerate(self.edges):
-            if not g.has_edge(e):
+        iota, rev = g._iota, g._rev
+        verts = [self.start]
+        for e in self.edges:
+            back = rev.get(e)
+            if back is None:
                 raise EdgeChainBroken(f"unknown edge {e!r}")
-            if g.iota(e) != v:
+            if iota[e] != verts[-1]:
                 raise EdgeChainBroken(
-                    f"edge {e!r} leaves {g.iota(e)!r}, expected {v!r}"
+                    f"edge {e!r} leaves {iota[e]!r}, expected {verts[-1]!r}"
                 )
-            v = g.tau(e)
-        for i, x in enumerate(self.groups):
+            verts.append(iota[back])
+        oracles = self.gog.vertex_group  # every vertex of the walk has one
+        for i, (x, v) in enumerate(zip(self.groups, verts)):
             try:
-                self.gog.group_at(self.vertex_at(i)).check(x)
+                oracles[v].check(x)
             except ForeignElement as exc:
-                raise ElementOutOfGroup(
-                    f"letter {i} at vertex {self.vertex_at(i)!r}: {exc}"
-                ) from exc
+                raise ElementOutOfGroup(f"letter {i} at vertex {v!r}: {exc}") from exc
         return self
 
     def reduce(self) -> "Word":
         """Delete e 1 ~e subwords until none remain (confluent)."""
         gog = self.gog
-        graph = gog.graph
+        iota, rev = gog.graph._iota, gog.graph._rev
         groups = [self.groups[0]]
         edges: list[str] = []
         verts = [self.start]
         for e, g in zip(self.edges, self.groups[1:]):
+            back = rev.get(e)
+            if back is None:
+                raise GogsepError(f"unknown edge {e!r}")
+            # e runs back along the last kept edge: it leaves verts[-1]
             if (
                 edges
-                and e == bar(edges[-1])
-                and gog.group_at(graph.iota(e)).is_identity(groups[-1])
+                and edges[-1] == back
+                and gog.group_at(verts[-1]).is_identity(groups[-1])
             ):
                 edges.pop()
                 groups.pop()
@@ -246,16 +267,19 @@ class Word:
             else:
                 edges.append(e)
                 groups.append(g)
-                verts.append(graph.tau(e))
+                verts.append(iota[back])
         return Word(gog, self.start, tuple(groups), tuple(edges))
 
     def inverse(self) -> "Word":
         gog = self.gog
-        groups = []
-        for i in range(self.n, -1, -1):
-            groups.append(gog.group_at(self.vertex_at(i)).inv(self.groups[i]))
-        edges = tuple(bar(e) for e in reversed(self.edges))
-        return Word(gog, self.end, tuple(groups), edges).reduce()
+        rev = gog.graph._rev
+        verts = self._vertices()
+        groups = tuple(
+            gog.group_at(v).inv(x)
+            for v, x in zip(reversed(verts), reversed(self.groups))
+        )
+        edges = tuple(rev[e] for e in reversed(self.edges))
+        return Word(gog, verts[-1], groups, edges).reduce()
 
     def __mul__(self, other: "Word") -> "Word":
         if self.gog is not other.gog:
@@ -285,10 +309,11 @@ class Word:
         return out
 
     def as_strings(self) -> list[str]:
+        verts = self._vertices()
         out = []
         for i, x in enumerate(self.letters()):
             if i % 2 == 0:
-                oracle = self.gog.group_at(self.vertex_at(i // 2))
+                oracle = self.gog.group_at(verts[i // 2])
                 out.append(oracle.format_element(x))
             else:
                 out.append(x)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import GraphOfGroups, bar
+from .core import GraphOfGroups
 from .morphism import DecoratedMorphism
 
 __all__ = ["gog_to_dot", "morphism_to_dot"]
@@ -40,7 +40,7 @@ def morphism_to_dot(m: DecoratedMorphism, name: str = "domain") -> str:
         label = (
             f"{p} -> {m.edge_map[p]}"
             f"\nd={o_i.format_element(m.delta[p])}"
-            f" d~={o_t.format_element(m.delta[bar(p)])}"
+            f" d~={o_t.format_element(m.delta[g._rev[p]])}"
         )
         lines.append(
             f"  {_q(g.iota(p))} -- {_q(g.tau(p))} [label={_q(label)}];"

@@ -13,7 +13,7 @@ import heapq
 from collections import deque
 from typing import Sequence
 
-from .core import GraphOfGroups, Word, bar
+from .core import GraphOfGroups, Word
 from .errors import EndpointMismatch, GogsepError, NotACover
 from .morphism import (
     DecoratedMorphism,
@@ -119,7 +119,7 @@ def _fold_once(w: _Working, v: str, e1: str, e2: str) -> str:
         e1, e2 = e2, e1
         x1, x2 = x2, x1
     oracle = w.oracle_at(x1)
-    t = oracle.mul(w.delta[bar(e1)], oracle.inv(w.delta[bar(e2)]))
+    t = oracle.mul(w.delta[w.rev[e1]], oracle.inv(w.delta[w.rev[e2]]))
     w.drop_pair(e2)
     if x1 != x2:
         w.merge(x2, x1, t)
@@ -173,8 +173,7 @@ def trim_core(m: DecoratedMorphism) -> DecoratedMorphism:
     def peelable(v, edges):
         return len(edges) == 1 and v != base and m.vgroup_image[v].is_trivial()
 
-    g = m.domain.graph
-    heap = sorted(v for v in g.vertices if peelable(v, g.edges_at(v)))
+    heap = sorted(v for v, edges in m.domain.graph._out.items() if peelable(v, edges))
     if not heap:
         return m
     w = _Working.of(m)

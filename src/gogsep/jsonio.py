@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .core import Graph, GraphOfGroups, Word, bar
+from .core import Graph, GraphOfGroups, Word
 from .errors import ForeignElement, GogsepError, SchemaError
 from .morphism import DecoratedMorphism, _Working
 from .oracles import oracle_from_json, subgroup_generate
@@ -150,6 +150,7 @@ def word_from_json(gog: GraphOfGroups, doc, path="$") -> Word:
         raise SchemaError(path, f"unknown start vertex {start!r}")
     if len(flat) % 2 != 1:
         raise SchemaError(path, "word must alternate element, edge, element")
+    iota, rev = gog.graph._iota, gog.graph._rev
     groups = []
     edges = []
     v = start
@@ -160,14 +161,15 @@ def word_from_json(gog: GraphOfGroups, doc, path="$") -> Word:
             except ForeignElement as exc:
                 raise SchemaError(f"{path}[{i}]", str(exc)) from exc
         else:
-            if not isinstance(item, str) or not gog.graph.has_edge(item):
+            back = rev.get(item) if isinstance(item, str) else None
+            if back is None:
                 raise SchemaError(f"{path}[{i}]", f"unknown edge {item!r}")
-            if gog.graph.iota(item) != v:
+            if iota[item] != v:
                 raise SchemaError(
                     f"{path}[{i}]", f"edge {item!r} does not start at {v!r}"
                 )
             edges.append(item)
-            v = gog.graph.tau(item)
+            v = iota[back]
     return Word(gog, start, tuple(groups), tuple(edges))
 
 
@@ -191,16 +193,17 @@ def _domain_to_json(m: DecoratedMorphism, convention: str) -> dict:
         }
     edges = []
     for p in g.edge_pairs():
-        o_i = m.oracle_at(g.iota(p))
-        o_t = m.oracle_at(g.tau(p))
-        d, db = m.delta[p], m.delta[bar(p)]
+        back = g._rev[p]
+        frm, to = g._iota[p], g._iota[back]
+        o_i, o_t = m.oracle_at(frm), m.oracle_at(to)
+        d, db = m.delta[p], m.delta[back]
         if convention == "paper-left":
             d, db = o_i.inv(d), o_t.inv(db)
         edges.append(
             {
                 "id": p,
-                "from": g.iota(p),
-                "to": g.tau(p),
+                "from": frm,
+                "to": to,
                 "onto": m.edge_map[p],
                 "delta": o_i.format_element(d),
                 "delta_bar": o_t.format_element(db),

@@ -70,28 +70,29 @@ class DecoratedMorphism:
             u = self.vertex_map.get(v)
             if u is None or not tgt.has_vertex(u):
                 raise GogsepError(f"vertex {v!r} has no valid image")
-            if self.domain.group_at(v) is not self.target.group_at(u):
+            oracle = self.target.group_at(u)
+            if self.domain.group_at(v) is not oracle:
                 raise GogsepError(
                     f"domain vertex {v!r} must carry the oracle of its image {u!r}"
                 )
             handle = self.vgroup_image.get(v)
             if not isinstance(handle, SubgroupHandle):
                 raise GogsepError(f"vertex {v!r} has no subgroup handle")
-            if handle.group is not self.target.group_at(u):
+            if handle.group is not oracle:
                 raise GogsepError(
                     f"subgroup at {v!r} lives in the wrong vertex group"
                 )
+        edge_map, oracles = self.edge_map, self.target.vertex_group
         for e in dom.directed_edges:
-            f = self.edge_map.get(e)
-            if f is None or not tgt.has_edge(f):
+            f = edge_map.get(e)
+            if f is None or f not in tgt._rev:
                 raise GogsepError(f"edge {e!r} has no valid image")
-            if self.edge_map.get(bar(e)) != bar(f):
+            if edge_map.get(dom._rev[e]) != tgt._rev[f]:
                 raise GogsepError(f"edge map breaks the involution at {e!r}")
-            if self.vertex_map[dom.iota(e)] != tgt.iota(f):
+            u = tgt._iota[f]
+            if self.vertex_map[dom._iota[e]] != u:
                 raise GogsepError(f"edge map breaks iota at {e!r}")
-            d = self.delta.get(e)
-            oracle = self.target.group_at(tgt.iota(f))
-            oracle.check(d)
+            oracles[u].check(self.delta.get(e))
         return self
 
     # -- conveniences --------------------------------------------------------
@@ -105,7 +106,7 @@ class DecoratedMorphism:
 
     def lifts_at(self, v: str) -> dict:
         """{f: lifts of f at v}, for each target edge f lifted at v, sorted by id."""
-        return lifts_by_edge(self.domain.graph.edges_at(v), self.edge_map)
+        return lifts_by_edge(self.domain.graph._out[v], self.edge_map)
 
 
 class _Working:
@@ -120,7 +121,8 @@ class _Working:
 
     * each vertex's out-list holds the edges e with iota(e) at it, sorted
       by id as ``Graph`` keeps them, and vertices keep insertion order;
-    * ``iota`` holds e exactly when it holds ~e, so tau(e) = iota(~e);
+    * ``iota`` and ``rev`` hold e exactly when they hold ~e, rev(e) = ~e
+      and tau(e) = iota(~e);
     * every edge has an image f, with ~f the image of ~e and iota(f)
       under iota(e), and a delta in the oracle at its start;
     * every vertex has an image and a handle in its image's group;
@@ -137,6 +139,7 @@ class _Working:
         self.base = base
         self.out: dict[str, list[str]] = {}  # vertex -> edges leaving it
         self.iota: dict[str, str] = {}
+        self.rev: dict[str, str] = {}  # directed edge -> its reverse
         self.vertex_map, self.edge_map = {}, {}
         self.vgroup_image, self.delta = {}, {}
 
@@ -144,14 +147,14 @@ class _Working:
     def of(cls, m: DecoratedMorphism) -> "_Working":
         w = cls(m.target, m.domain.base)
         g = m.domain.graph
-        w.out = {v: g.edges_at(v) for v in g.vertices}
-        w.iota = {e: v for v, edges in w.out.items() for e in edges}
+        w.out = {v: list(edges) for v, edges in g._out.items()}
+        w.iota, w.rev = dict(g._iota), dict(g._rev)
         w.vertex_map, w.edge_map = dict(m.vertex_map), dict(m.edge_map)
         w.vgroup_image, w.delta = dict(m.vgroup_image), dict(m.delta)
         return w
 
     def tau(self, e: str) -> str:
-        return self.iota[bar(e)]
+        return self.iota[self.rev[e]]
 
     def oracle_at(self, v: str):
         return self.target.group_at(self.vertex_map[v])
@@ -165,14 +168,20 @@ class _Working:
 
     def add_edge(self, e: str, frm: str, to: str, f: str, d, d_bar):
         """The pair e: frm -> to over f, with delta d and d_bar on ~e."""
-        for x, start, image, value in ((e, frm, f, d), (bar(e), to, bar(f), d_bar)):
+        back = bar(e)
+        for x, y, start, image, value in (
+            (e, back, frm, f, d), (back, e, to, bar(f), d_bar)
+        ):
             self.iota[x] = start
+            self.rev[x] = y
             bisect.insort(self.out[start], x)
             self.edge_map[x] = image
             self.delta[x] = value
 
     def drop_pair(self, e: str):
-        for x in (e, bar(e)):
+        back = self.rev.pop(e)
+        del self.rev[back]
+        for x in (e, back):
             self.out[self.iota.pop(x)].remove(x)
             del self.edge_map[x], self.delta[x]
 
@@ -201,7 +210,7 @@ class _Working:
     def freeze(self) -> DecoratedMorphism:
         """The edited morphism, built without re-checking; this copy is spent."""
         graph = Graph()
-        graph._out, graph._iota = self.out, self.iota
+        graph._out, graph._iota, graph._rev = self.out, self.iota, self.rev
         domain = object.__new__(GraphOfGroups)
         domain.graph, domain.base = graph, self.base
         domain.vertex_group = {v: self.oracle_at(v) for v in self.out}
@@ -312,7 +321,7 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
         u = m.vertex_map[v]
         fiber_count[u] = fiber_count.get(u, 0) + need
         lifts = m.lifts_at(v)
-        for f in m.target.graph.edges_at(u):
+        for f in m.target.graph._out[u]:
             have = lifts.get(f, [])
             if len(have) != need:
                 # At most len(held) of these reps are held, so they include
@@ -352,6 +361,9 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
     if not g.is_loop():
         raise EndpointMismatch("lift_loop needs a loop")
     g = g.validate().reduce()
+    graph = m.domain.graph
+    out, iota, rev = graph._out, graph._iota, graph._rev
+    oracles, edge_map, delta = m.domain.vertex_group, m.edge_map, m.delta
     v = u0
     carry = g.groups[0]
     path = []
@@ -360,8 +372,8 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
         key = handle.coset_key(carry)
         matches = [
             e
-            for e in m.domain.graph.edges_at(v)
-            if m.edge_map[e] == f and handle.coset_key(m.delta[e]) == key
+            for e in out[v]
+            if edge_map[e] == f and handle.coset_key(delta[e]) == key
         ]
         if not matches:
             return LiftOutcome(
@@ -378,9 +390,9 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
             )
         e = matches[0]
         path.append(e)
-        v = m.domain.graph.tau(e)
-        oracle = m.oracle_at(v)
-        carry = oracle.mul(m.delta[bar(e)], g.groups[i + 1])
+        back = rev[e]
+        v = iota[back]
+        carry = oracles[v].mul(delta[back], g.groups[i + 1])
     if v == u0:
         return LiftOutcome(
             case="closed", path_edges=tuple(path), end_vertex=v, element=carry,

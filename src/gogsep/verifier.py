@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence
 
-from .core import GraphOfGroups, Word, bar
+from .core import GraphOfGroups, Word
 from .errors import DidNotClose, GogsepError, NotAnImmersion, UnboundedEnumeration
 from .morphism import CheckReport, DecoratedMorphism
 from .separator import SeparationCertificate, VerificationReport, verify_certificate
@@ -104,16 +104,17 @@ def brute_member(
 def _spanning_tree(graph, root: str):
     """A BFS spanning tree from root: the edge reaching each vertex in BFS
     order (None at root), and the tree edges in both orientations."""
+    out, iota, rev = graph._out, graph._iota, graph._rev
     reach = {root: None}
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for e in graph.edges_at(v):
-            w = graph.tau(e)
+        for e in out[v]:
+            w = iota[rev[e]]
             if w not in reach:
                 reach[w] = e
                 queue.append(w)
-    tree = {x for e in reach.values() if e for x in (e, bar(e))}
+    tree = {x for e in reach.values() if e for x in (e, rev[e])}
     return reach, tree
 
 
@@ -137,23 +138,22 @@ def _presentation(gog: GraphOfGroups, root: str):
                     word.append(("g", v, oracle.inv(z)))
                 relators.append(word)
     _, tree = _spanning_tree(gog.graph, root)
+    stable = {}  # directed edge -> its stable letter, [] on the tree
     for p in gog.graph.edge_pairs():
+        back = gog.graph._rev[p]
         if p in tree:
+            stable[p] = stable[back] = []
             continue
         s, si = ("t", p), ("T", p)
         symbols.extend([s, si])
         inv[s] = si
         inv[si] = s
-    return symbols, inv, relators, tree
+        stable[p], stable[back] = [s], [si]
+    return symbols, inv, relators, stable
 
 
 def _group_letter(gog: GraphOfGroups, v: str, x) -> list:
     return [] if gog.group_at(v).is_identity(x) else [("g", v, x)]
-
-
-def _stable_letter(e: str, tree: set) -> list:
-    p = bar(e) if e.startswith("~") else e
-    return [] if p in tree else [("t", p) if e == p else ("T", p)]
 
 
 class _CosetTable:
@@ -316,11 +316,11 @@ def tree_ball(
         letters = {
             v: list(gog.group_at(v).elements) for v in gog.graph.vertices
         }
-    graph = gog.graph
+    out, iota, rev = gog.graph._out, gog.graph._iota, gog.graph._rev
     nodes = [()]
     frontier = [((), base)]
     for _ in range(radius):
-        children = sum(len(letters[v]) * len(graph.edges_at(v)) for _, v in frontier)
+        children = sum(len(letters[v]) * len(out[v]) for _, v in frontier)
         if len(nodes) + children > BALL_CAP:
             raise UnboundedEnumeration(
                 f"tree ball of radius {radius} would pass {BALL_CAP} nodes"
@@ -328,14 +328,13 @@ def tree_ball(
         nxt = []
         for path, v in frontier:
             oracle = gog.group_at(v)
-            arrived = path[-1][1] if path else None
-            for e in graph.edges_at(v):
-                backtrack = arrived is not None and e == bar(arrived)
+            back = rev[path[-1][1]] if path else None  # the way back
+            for e in out[v]:
                 for x in letters[v]:
-                    if backtrack and oracle.is_identity(x):
+                    if e == back and oracle.is_identity(x):
                         continue
                     child = path + ((x, e),)
-                    nxt.append((child, graph.tau(e)))
+                    nxt.append((child, iota[rev[e]]))
         nodes.extend(p for p, _ in nxt)
         frontier = nxt
     return nodes
@@ -347,13 +346,14 @@ def _path_image(m: DecoratedMorphism, path) -> list:
     Step i maps to (δ(~e_{i-1})⁻¹·x_i·δ(e_i), φ(e_i)); the first step has
     no left factor.
     """
+    graph = m.domain.graph
     out = []
     prev = None
     for x, e in path:
-        oracle = m.oracle_at(m.domain.graph.iota(e))
+        oracle = m.oracle_at(graph._iota[e])
         y = oracle.mul(x, m.delta[e])
         if prev is not None:
-            y = oracle.mul(oracle.inv(m.delta[bar(prev)]), y)
+            y = oracle.mul(oracle.inv(m.delta[graph._rev[prev]]), y)
         out.append((y, m.edge_map[e]))
         prev = e
     return out
@@ -362,9 +362,10 @@ def _path_image(m: DecoratedMorphism, path) -> list:
 def _map_tree_node(m: DecoratedMorphism, path) -> tuple:
     """Image of a domain tree node; raises if the image path backtracks."""
     image = tuple(_path_image(m, path))
+    rev = m.target.graph._rev
     for (_, e), (_, f), (y, g) in zip(path[1:], image, image[1:]):
         v = m.domain.graph.iota(e)
-        if g == bar(f) and m.oracle_at(v).is_identity(y):
+        if g == rev[f] and m.oracle_at(v).is_identity(y):
             raise NotAnImmersion(f"tree image backtracks along {e!r} at {v!r}")
     return image
 
@@ -426,16 +427,17 @@ def _schreier_index(m: DecoratedMorphism, base: str, cap: int) -> int:
     if not graph.has_vertex(base):
         raise GogsepError(f"unknown vertex {base!r}")
     presentation = _presentation(target, m.vertex_map[base])
+    stable = presentation[3]
     reach, tree = _spanning_tree(graph, base)
 
     def edge(v, e, w):  # v·image(e) = w, for e: v -> w
         f, x, y = m.edge_map[e], m.vertex_map[v], m.vertex_map[w]
         if (target.graph.iota(f), target.graph.tau(f)) != (x, y):
             raise GogsepError(f"image {f!r} of {e!r} does not run {x!r} to {y!r}")
-        out, back = m.delta[e], m.delta[bar(e)]
+        out, back = m.delta[e], m.delta[graph._rev[e]]
         target.group_at(x).check(out)
         target.group_at(y).check(back)
-        word = _group_letter(target, x, out) + _stable_letter(f, presentation[3])
+        word = _group_letter(target, x, out) + stable[f]
         return v, word + _group_letter(target, y, target.group_at(y).inv(back)), w
 
     steps = [edge(graph.iota(e), e, w) for w, e in reach.items() if e]

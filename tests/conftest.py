@@ -17,7 +17,7 @@ from gogsep import (
     word_from_json,
 )
 from gogsep.errors import ElementOutOfGroup, GogsepError
-from gogsep.verifier import _enumerate, _group_letter, _presentation, _stable_letter
+from gogsep.verifier import _enumerate, _group_letter, _presentation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -47,7 +47,8 @@ def assert_well_built(m):
     The morphism validates; its graph rebuilt through the public
     constructors is connected, holds its base and has the same directed
     edges and out-lists; each out-list is sorted; both ends of every pair
-    are present, with iota(~e) == tau(e).
+    are present, with iota(~e) == tau(e); the reverse table holds the same
+    edges as iota, maps each e to ~e and is its own inverse.
     """
     m.validate()
     g = m.domain.graph
@@ -62,6 +63,9 @@ def assert_well_built(m):
         assert g.edges_at(v) == sorted(g.edges_at(v)) == rebuilt.edges_at(v)
     for e in g.directed_edges:
         assert g.has_edge(bar(e)) and g.iota(bar(e)) == g.tau(e)
+    assert g._rev.keys() == g._iota.keys()
+    for e, back in g._rev.items():
+        assert back == bar(e) and g._rev[back] == e
 
 
 def make_pslz():
@@ -318,12 +322,12 @@ def subgroup_generators(m, u0):
     return [g for g in gens if not g.is_identity_loop()]
 
 
-def _translate(gog, w, tree):
+def _translate(gog, w, stable):
     out = []
     for i in range(w.n + 1):
         out += _group_letter(gog, w.vertex_at(i), w.groups[i])
         if i < w.n:
-            out += _stable_letter(w.edges[i], tree)
+            out += stable[w.edges[i]]
     return out
 
 

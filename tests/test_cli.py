@@ -290,6 +290,13 @@ def test_a_directory_as_input_is_a_schema_error(tmp_path, capsys):
     assert err.startswith("schema error") and err.count("\n") == 1
 
 
+def test_a_directory_as_output_fails_cleanly(tmp_path, capsys):
+    code = main(["separate", PSLZ, "--gens", GENS, "--element", ELEMENT, "-o", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
 def test_free_rank_past_its_ceiling_is_a_schema_error(tmp_path, capsys):
     gens = write_json(tmp_path / "gens.json", [{"start": "x", "word": ["x1"]}])
     element = write_json(tmp_path / "g.json", {"start": "x", "word": ["x2"]})

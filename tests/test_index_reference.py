@@ -1,13 +1,15 @@
 """Indexed local maps against the plain scans they replace.
 
-``Graph.edges_at`` reads a per-vertex edge list, ``trim_core`` runs a
-valence worklist, and fold finding and the immersion check bucket lifts by
-``SubgroupHandle.coset_key``.  Each test here keeps the direct scan as
-the reference and requires the same answer, in the same order.
+``Graph.edges_at`` reads a per-vertex edge list and ``Graph.tau`` a
+reverse table, ``trim_core`` runs a valence worklist, and fold finding
+and the immersion check bucket lifts by ``SubgroupHandle.coset_key``.
+Each test here keeps the direct scan as the reference and requires the
+same answer, in the same order.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from gogsep import (
     check_immersion,
     wedge,
 )
+from gogsep.errors import GogsepError
 from gogsep.folding import _find_fold, _fold_once, trim_core
 from gogsep.morphism import _Working
 
@@ -64,7 +67,12 @@ def test_edges_at_matches_a_sorted_scan(n, ops):
             assert got == sorted(e for e, src in iota.items() if src == v)
             got.append("junk")  # a fresh list each call
             assert "junk" not in g.edges_at(v)
+            for e in iota:  # the reverse table agrees with the names
+                assert g.tau(e) == g.iota(bar(e)) == iota[bar(e)]
     assert g.vertices == vertices
+    for e in ("zzzz", "~zzzz"):  # longer than any drawn name
+        with pytest.raises(GogsepError, match=f"unknown edge '{e}'"):
+            g.tau(e)
 
 
 # -- trim_core ---------------------------------------------------------------

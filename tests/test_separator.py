@@ -27,6 +27,7 @@ from gogsep import (
 from gogsep.errors import AlreadyMember, EdgeChainBroken, GogsepError
 
 from conftest import INSTANCES, W, pslz_conjugates, remake
+from test_golden import _rose2_instance
 
 
 def ab_loop(pslz):
@@ -323,6 +324,37 @@ def test_separate_validates_once_however_many_folds(monkeypatch):
         per_run.append(dict(counts))
     # verify's structure step is the one validation
     assert per_run == [{"validate": 1, "is_connected": 0, "add_edge": 0}] * 2
+
+
+def test_lifting_and_verifying_read_reverses_from_the_graph(monkeypatch):
+    """No edge name is parsed to find a reverse when a loop is lifted or a
+    certificate verified, and lift_loop copies no out-list."""
+    target, u0, gens, g = _rose2_instance()
+    m = fold(wedge(target, u0, gens))
+    cert = separate_element(target, u0, gens, g, seed=0)
+    counts = dict.fromkeys(("bar", "edges_at"), 0)
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    bar = counted("bar", gogsep.core.bar)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gogsep" and hasattr(module, "bar"):
+            monkeypatch.setattr(module, "bar", bar)
+    monkeypatch.setattr(Graph, "edges_at", counted("edges_at", Graph.edges_at))
+    answers = [
+        subgroup_member(h, base, w)
+        for h, base in ((m, m.domain.base), (cert.cover, cert.base_vertex))
+        for w in [*gens, g]
+    ]
+    assert answers == [True, True, False] * 2
+    assert counts == {"bar": 0, "edges_at": 0}
+    assert verify_certificate(cert).ok
+    assert counts["bar"] == 0
 
 
 def test_separate_validates_each_input_word_where_it_is_first_read(monkeypatch):

@@ -16,8 +16,12 @@ from gogsep import (
     wedge,
 )
 
+from gogsep.folding import trim_core
+from gogsep.morphism import _Working
+
 from conftest import W, assert_well_built, make_pslz
 from test_golden import GOLDEN
+from test_index_reference import _over_petal
 
 
 def _pslz_ab(*g):
@@ -64,3 +68,27 @@ def test_the_cases_graft_a_hair_and_pad_a_fiber():
             padded.add(name)
     assert "hair" in statuses and "loop" in statuses
     assert padded
+
+
+def test_edits_keep_each_reverse_table_to_its_own_morphism():
+    """Dropped pairs leave the reverse table, and a working copy owns its own."""
+    # a loop at v1 with the hair v1 - v2 - v3: trimming drops both hair pairs
+    hairy = _over_petal(["v1", "v2", "v3"], [("v1", "v1"), ("v1", "v2"), ("v2", "v3")])
+    trimmed = trim_core(hairy)
+    assert trimmed.domain.graph.vertices == ["v1"]
+    assert_well_built(trimmed)
+    assert_well_built(hairy)
+
+    t = make_pslz()
+    m = wedge(t, "u", [W(t, "u", "1", "e", "b", "~e", "1"), W(t, "u", "1", "e", "b2", "~e", "a")])
+    before = dict(m.domain.graph._rev)
+    folded = fold(m)  # the two circles' first edges fold, merging v1_1 and v2_1
+    assert len(folded.domain.graph.vertices) < len(m.domain.graph.vertices)
+    assert_well_built(folded)
+
+    w = _Working.of(m)
+    w.drop_pair("c1_2")
+    w.add_edge("n1", "v0", "v1_1", "e", "1", "1")
+    assert m.domain.graph._rev == before
+    assert_well_built(m)
+    assert_well_built(w.freeze())
