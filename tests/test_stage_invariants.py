@@ -13,10 +13,9 @@ from gogsep import (
     complete_to_cover,
     enlarge,
     fold,
+    trim_core,
     wedge,
 )
-
-from gogsep.folding import trim_core
 from gogsep.morphism import _Working
 
 from conftest import W, assert_well_built, make_pslz
