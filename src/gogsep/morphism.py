@@ -65,12 +65,12 @@ class DecoratedMorphism:
     # -- structural validity ------------------------------------------------
 
     def validate(self):
-        dom, tgt = self.domain.graph, self.target.graph
+        dom, groups = self.domain.graph, self.target.vertex_group
         for v in dom.vertices:
             u = self.vertex_map.get(v)
-            if u is None or not tgt.has_vertex(u):
+            if u not in groups:
                 raise GogsepError(f"vertex {v!r} has no valid image")
-            oracle = self.target.group_at(u)
+            oracle = groups[u]
             if self.domain.group_at(v) is not oracle:
                 raise GogsepError(
                     f"domain vertex {v!r} must carry the oracle of its image {u!r}"
@@ -82,18 +82,28 @@ class DecoratedMorphism:
                 raise GogsepError(
                     f"subgroup at {v!r} lives in the wrong vertex group"
                 )
-        edge_map, oracles = self.edge_map, self.target.vertex_group
-        for e in dom.directed_edges:
-            f = edge_map.get(e)
-            if f is None or f not in tgt._rev:
-                raise GogsepError(f"edge {e!r} has no valid image")
-            if edge_map.get(dom._rev[e]) != tgt._rev[f]:
-                raise GogsepError(f"edge map breaks the involution at {e!r}")
-            u = tgt._iota[f]
-            if self.vertex_map[dom._iota[e]] != u:
-                raise GogsepError(f"edge map breaks iota at {e!r}")
-            oracles[u].check(self.delta.get(e))
+        try:
+            self._check_edges(dom._iota)
+        except GogsepError:
+            self._check_edges(sorted(dom._iota))  # report the least faulty edge
+            raise
         return self
+
+    def _check_edges(self, edges):
+        dom, tgt = self.domain.graph, self.target.graph
+        dom_iota, dom_rev, tgt_iota, tgt_rev = dom._iota, dom._rev, tgt._iota, tgt._rev
+        edge_map, vertex_map, delta = self.edge_map, self.vertex_map, self.delta
+        oracles = self.target.vertex_group
+        for e in edges:
+            f = edge_map.get(e)
+            if f is None or f not in tgt_rev:
+                raise GogsepError(f"edge {e!r} has no valid image")
+            if edge_map.get(dom_rev[e]) != tgt_rev[f]:
+                raise GogsepError(f"edge map breaks the involution at {e!r}")
+            u = tgt_iota[f]
+            if vertex_map[dom_iota[e]] != u:
+                raise GogsepError(f"edge map breaks iota at {e!r}")
+            oracles[u].check(delta.get(e))
 
     # -- conveniences --------------------------------------------------------
 
@@ -226,6 +236,8 @@ class CheckReport:
     ok: bool
     violations: list = field(default_factory=list)
     degree: Optional[int] = None  # set by a passing check_cover
+    # a passing check_cover's coset slots (see _coset_slots), for _lift
+    _slots: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -275,23 +287,44 @@ def lifts_by_coset(handle: SubgroupHandle, lifts, delta) -> dict:
     return buckets
 
 
+def _coset_slots(m: DecoratedMorphism) -> dict:
+    """Every lift keyed once: {v: {(f, coset key): lifts of f at v in it}}.
+
+    Two lifts of f at v share a slot when they lie in one right coset
+    vgroup_image[v] * delta[e]; members are listed in out-list order.
+    """
+    edge_map, delta = m.edge_map, m.delta
+    slots = {}
+    for v, edges in m.domain.graph._out.items():
+        key = m.vgroup_image[v].coset_key
+        by_slot = slots[v] = {}
+        for e in edges:
+            by_slot.setdefault((edge_map[e], key(delta[e])), []).append(e)
+    return slots
+
+
+def _clashes(m: DecoratedMorphism, slots: dict) -> list:
+    """Every pair of lifts sharing a slot, by vertex, then target edge."""
+    out = m.domain.graph._out
+    violations = []
+    for v, by_slot in slots.items():
+        if len(by_slot) == len(out[v]):
+            continue  # one lift per slot
+        pairs = sorted(
+            (f, a, b)
+            for (f, _), bucket in by_slot.items()
+            for k, a in enumerate(bucket)
+            for b in bucket[k + 1:]
+        )
+        violations += [
+            {"vertex": v, "target_edge": f, "edges": (a, b)} for f, a, b in pairs
+        ]
+    return violations
+
+
 def check_immersion(m: DecoratedMorphism) -> CheckReport:
     """Local injectivity: lifts of one target edge occupy distinct cosets."""
-    violations = []
-    for v in m.domain.graph.vertices:
-        handle = m.vgroup_image[v]
-        lifts = m.lifts_at(v)
-        for f in sorted(lifts):
-            if len(lifts[f]) < 2:
-                continue
-            pairs = sorted(
-                (a, b)
-                for bucket in lifts_by_coset(handle, lifts[f], m.delta).values()
-                for k, a in enumerate(bucket)
-                for b in bucket[k + 1:]
-            )
-            for pair in pairs:
-                violations.append({"vertex": v, "target_edge": f, "edges": pair})
+    violations = _clashes(m, _coset_slots(m))
     return CheckReport(not violations, violations)
 
 
@@ -302,17 +335,21 @@ MISSING_SHOWN = 5
 def check_cover(m: DecoratedMorphism) -> CheckReport:
     """Local bijectivity: at every vertex the lifts exhaust the cosets.
 
-    A passing report also carries the degree, the summed coset count over
-    one fiber; every fiber has that count (see ``folding.cover_index``).
-    A violation lists the first MISSING_SHOWN coset reps no lift holds.
+    One keyed pass (``_coset_slots``) serves both halves: lifts sharing a
+    coset are reported first, as ``check_immersion`` reports them, and only
+    then does a vertex of infinite index raise.  A passing report also
+    carries the degree, the summed coset count over one fiber; every fiber
+    has that count (see ``folding.cover_index``).  A violation lists the
+    first MISSING_SHOWN coset reps no lift holds.
     """
-    report = check_immersion(m)
-    if not report.ok:
-        return report
-    violations = []
+    slots = _coset_slots(m)
+    violations = _clashes(m, slots)
+    if violations:
+        return CheckReport(False, violations)
+    images, target_out = m.vgroup_image, m.target.graph._out
     fiber_count = {}
-    for v in m.domain.graph.vertices:
-        handle = m.vgroup_image[v]
+    for v, by_slot in slots.items():
+        handle = images[v]
         need = handle.index()
         if need is None:
             raise InfiniteIndexVertex(
@@ -320,27 +357,31 @@ def check_cover(m: DecoratedMorphism) -> CheckReport:
             )
         u = m.vertex_map[v]
         fiber_count[u] = fiber_count.get(u, 0) + need
-        lifts = m.lifts_at(v)
-        for f in m.target.graph._out[u]:
-            have = lifts.get(f, [])
-            if len(have) != need:
+        # Each target edge at u fills at most `need` slots, one per coset;
+        # with all `need * deg(u)` filled, each holds one lift (no clash).
+        if len(by_slot) == need * len(target_out[u]):
+            continue
+        for f in target_out[u]:
+            held = {k for g, k in by_slot if g == f}
+            if len(held) != need:
                 # At most len(held) of these reps are held, so they include
                 # the first MISSING_SHOWN unheld ones.
-                held = lifts_by_coset(handle, have, m.delta)
                 reps = handle.coset_reps(limit=len(held) + MISSING_SHOWN)
                 missing = [r for r in reps if handle.coset_key(r) not in held]
                 violations.append(
                     {
                         "vertex": v,
                         "target_edge": f,
-                        "have": len(have),
+                        "have": len(held),
                         "need": need,
                         "missing": missing[:MISSING_SHOWN],
                     }
                 )
     if violations:
         return CheckReport(False, violations)
-    return CheckReport(True, degree=next(iter(fiber_count.values()), 0))
+    report = CheckReport(True, degree=next(iter(fiber_count.values()), 0))
+    report._slots = slots
+    return report
 
 
 def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
@@ -350,6 +391,13 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
     next target edge whose coset matches the accumulated carry is taken.
     Immersions make the matching edge unique; covers make it total.
     """
+    return _lift(m, g, u0, None)
+
+
+def _lift(m: DecoratedMorphism, g: Word, u0: str, slots) -> LiftOutcome:
+    """``lift_loop``, taking each step's matches from a passing
+    ``check_cover``'s slots, or with ``slots`` None from a scan of the
+    vertex's out-list that keys only the lifts of the next edge."""
     if not m.domain.graph.has_vertex(u0):
         raise GogsepError(f"unknown base vertex {u0!r}")
     if g.gog is not m.target:
@@ -370,11 +418,14 @@ def lift_loop(m: DecoratedMorphism, g: Word, u0: str) -> LiftOutcome:
     for i, f in enumerate(g.edges):
         handle = m.vgroup_image[v]
         key = handle.coset_key(carry)
-        matches = [
-            e
-            for e in out[v]
-            if edge_map[e] == f and handle.coset_key(delta[e]) == key
-        ]
+        if slots is not None:
+            matches = slots[v].get((f, key), ())
+        else:
+            matches = [
+                e
+                for e in out[v]
+                if edge_map[e] == f and handle.coset_key(delta[e]) == key
+            ]
         if not matches:
             return LiftOutcome(
                 case="stuck",

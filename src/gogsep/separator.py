@@ -23,10 +23,10 @@ from .errors import AlreadyMember, GogsepError
 from .folding import fold, wedge
 from .morphism import (
     DecoratedMorphism,
+    _lift,
     _Working,
     check_cover,
     lift_loop,
-    subgroup_member,
 )
 
 __all__ = [
@@ -171,10 +171,15 @@ def verify_certificate(cert: SeparationCertificate) -> VerificationReport:
         d = cover_report.degree
         return d == cert.degree, f"degree {d}, declared {cert.degree}"
 
+    def lift(w):  # one coset key and one slot lookup per step
+        return _lift(cert.cover, w, cert.base_vertex, cover_report._slots)
+
     def generators_inside():
+        base = cert.cover.vgroup_image[cert.base_vertex]
         bad = []
         for k, w in enumerate(cert.generators, start=1):
-            if not subgroup_member(cert.cover, cert.base_vertex, w):
+            outcome = lift(w)
+            if not (outcome.case == "closed" and base.member(outcome.element)):
                 bad.append(k)
         return not bad, (
             "all generator lifts close into the base subgroup"
@@ -183,7 +188,7 @@ def verify_certificate(cert: SeparationCertificate) -> VerificationReport:
         )
 
     def element_outside():
-        outcome = lift_loop(cert.cover, cert.element, cert.base_vertex)
+        outcome = lift(cert.element)
         if outcome.case == "stuck":
             return False, "element lift got stuck in a cover (not a cover?)"
         if outcome.case == "open_end":

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -12,11 +13,12 @@ from gogsep import (
     Graph,
     GraphOfGroups,
     IntGroup,
+    LiftOutcome,
     Word,
     bar,
     word_from_json,
 )
-from gogsep.errors import ElementOutOfGroup, GogsepError
+from gogsep.errors import ElementOutOfGroup, GogsepError, NotAnImmersion
 from gogsep.verifier import _enumerate, _group_letter, _presentation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -66,6 +68,36 @@ def assert_well_built(m):
     assert g._rev.keys() == g._iota.keys()
     for e, back in g._rev.items():
         assert back == bar(e) and g._rev[back] == e
+
+
+def count_calls(monkeypatch, owner, *names):
+    """Count the calls of owner's named functions; returns {name: calls}.
+
+    A class gets its methods wrapped in place.  A module's functions are
+    wrapped in every ``gogsep`` module that binds them, so calls through
+    any import are counted.
+    """
+    counts = dict.fromkeys(names, 0)
+
+    def counter(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        original = getattr(owner, name)
+        wrapper = counter(name, original)
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, wrapper)
+            continue
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "gogsep":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return counts
 
 
 def make_pslz():
@@ -219,6 +251,37 @@ def restriction_check(small, big):
         if small.delta[e] != big.delta[e]:  # element values are canonical
             violations.append({"kind": "delta", "edge": e})
     return CheckReport(not violations, violations)
+
+
+def scan_lift(m, g, u0):
+    """Reference for ``lift_loop`` on a loop at phi(u0): each step takes the
+    lifts e of the next target edge whose coset holds the carry c, tested
+    as c * delta_e^-1 in the vertex subgroup, over a fresh scan of every
+    directed edge."""
+    g = g.validate().reduce()
+    graph = m.domain.graph
+    v, carry, path = u0, g.groups[0], []
+    for i, f in enumerate(g.edges):
+        oracle = m.oracle_at(v)
+        matches = [
+            e
+            for e in graph.directed_edges
+            if graph.iota(e) == v
+            and m.edge_map[e] == f
+            and m.vgroup_image[v].member(oracle.mul(carry, oracle.inv(m.delta[e])))
+        ]
+        if not matches:
+            return LiftOutcome(
+                "stuck", tuple(path), consumed=i, vertex=v, target_edge=f, carry=carry
+            )
+        if len(matches) > 1:
+            raise NotAnImmersion(f"lifts {matches} of {f!r} share a coset at {v!r}")
+        path.append(matches[0])
+        v = graph.tau(matches[0])
+        carry = m.oracle_at(v).mul(m.delta[bar(matches[0])], g.groups[i + 1])
+    if v == u0:
+        return LiftOutcome("closed", tuple(path), v, carry, g.n)
+    return LiftOutcome("open_end", tuple(path), v, consumed=g.n)
 
 
 def canonical_key(h):

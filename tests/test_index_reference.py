@@ -1,8 +1,10 @@
 """Indexed local maps against the plain scans they replace.
 
 ``Graph.edges_at`` reads a per-vertex edge list and ``Graph.tau`` a
-reverse table, ``trim_core`` runs a valence worklist, and fold finding
-and the immersion check bucket lifts by ``SubgroupHandle.coset_key``.
+reverse table, ``trim_core`` runs a valence worklist, fold finding and
+the immersion check bucket lifts by ``SubgroupHandle.coset_key``, and
+``lift_loop`` keys each step's carry (a certificate's lifts read the
+cover check's buckets).
 Each test here keeps the direct scan as the reference and requires the
 same answer, in the same order.
 """
@@ -19,14 +21,19 @@ from gogsep import (
     Graph,
     GraphOfGroups,
     bar,
+    check_cover,
     check_immersion,
+    complete_to_cover,
+    enlarge,
+    fold,
+    lift_loop,
     wedge,
 )
 from gogsep.errors import GogsepError
 from gogsep.folding import _find_fold, _fold_once, trim_core
-from gogsep.morphism import _Working
+from gogsep.morphism import _lift, _Working
 
-from conftest import gen_corpus, make_f2c2, make_pslz, make_z2
+from conftest import gen_corpus, make_f2c2, make_pslz, make_z2, scan_lift
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -210,3 +217,26 @@ def test_fold_pairs_and_violations_match_the_pairwise_scan(name, seed, count):
         v = folding[0]
         _fold_once(w, v, *pairs[v][0][1:])
         m = w.freeze()
+
+
+# -- lifting -----------------------------------------------------------------
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(TARGETS)), st.integers(0, 10**6), st.integers(1, 3))
+def test_lifts_match_the_membership_scan(name, seed, count):
+    """On an immersion and on a cover completed from it, every outcome and
+    path equals the reference's; on the cover, so does the lift that reads
+    the cover check's buckets."""
+    make, u0, bound = TARGETS[name]
+    target = make()
+    rng = random.Random(seed)
+    m = fold(wedge(target, u0, gen_corpus(target, u0, rng, count, 3, bound)))
+    cover = complete_to_cover(enlarge(m), seed=0)
+    report = check_cover(cover)
+    assert report.ok
+    for w in gen_corpus(target, u0, rng, 4, 4, bound):
+        assert lift_loop(m, w, "v0") == scan_lift(m, w, "v0")
+        expected = scan_lift(cover, w, "v0")
+        assert lift_loop(cover, w, "v0") == expected
+        assert _lift(cover, w, "v0", report._slots) == expected

@@ -22,7 +22,7 @@ from gogsep.jsonio import dumps
 from gogsep.morphism import DecoratedMorphism
 from gogsep.oracles import FreeSubgroup, _Automaton
 
-from conftest import INSTANCES, W, assert_well_built
+from conftest import INSTANCES, W, assert_well_built, count_calls
 from test_golden import GOLDEN, _f2z_instance, _pslz_instance
 
 
@@ -181,20 +181,13 @@ def test_reading_free_vertex_subgroups_costs_about_their_cores(monkeypatch):
     place of a wall-time gate (one fresh state per letter made 65 here)."""
     target, u0, gens, g = _f2z_instance()
     text = dumps(certificate_to_json(separate_element(target, u0, gens, g, seed=0)))
-    calls = []
-    original = _Automaton.new_state
-
-    def counted(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(_Automaton, "new_state", counted)
+    counts = count_calls(monkeypatch, _Automaton, "new_state")
     back = certificate_from_json(json.loads(text))
     states = sum(
         len(h.rows) for h in back.cover.vgroup_image.values() if isinstance(h, FreeSubgroup)
     )
     assert states == 15
-    assert len(calls) <= 2 * states
+    assert counts["new_state"] <= 2 * states
 
 
 def test_certificate_schema_errors(pslz):
@@ -293,16 +286,9 @@ def test_read_and_verify_validate_the_cover_once(monkeypatch):
     """The reader builds the cover with ``_Working``; verify's structure
     step is the one ``validate``."""
     doc = _pslz_cert_doc()
-    calls = []
-    original = DecoratedMorphism.validate
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(DecoratedMorphism, "validate", counted)
+    counts = count_calls(monkeypatch, DecoratedMorphism, "validate")
     assert verify_certificate(certificate_from_json(doc)).ok
-    assert len(calls) == 1
+    assert counts["validate"] == 1
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -1,6 +1,7 @@
 import pytest
 
 from gogsep import (
+    CheckReport,
     DecoratedMorphism,
     Graph,
     GraphOfGroups,
@@ -163,6 +164,107 @@ def test_check_cover_needs_finite_index(z2):
     )
     with pytest.raises(InfiniteIndexVertex):
         check_cover(m)
+
+
+def _hand_built(target, vertices, edges):
+    """A morphism from its parts: vertices as (v, image, handle) in insertion
+    order, edge pairs as (e, from, to, target edge, delta, delta on ~e)."""
+    g = Graph()
+    for v, _, _ in vertices:
+        g.add_vertex(v)
+    for e, frm, to, *_ in edges:
+        g.add_edge(e, frm, to)
+    vmap = {v: u for v, u, _ in vertices}
+    dom = GraphOfGroups(g, {v: target.group_at(u) for v, u in vmap.items()})
+    emap, delta = {}, {}
+    for e, _, _, f, d, d_bar in edges:
+        emap[e], emap["~" + e] = f, target.graph._rev[f]
+        delta[e], delta["~" + e] = d, d_bar
+    return DecoratedMorphism(
+        dom, target, vmap, emap, {v: h for v, _, h in vertices}, delta
+    )
+
+
+def test_check_reports_pin_clashes_at_two_vertices_and_two_edges(pslz):
+    """Vertices in insertion order, target edges sorted, pairs sorted."""
+    c2, c3 = pslz.group_at("u"), pslz.group_at("w")
+    m = _hand_built(
+        pslz,
+        [("p", "u", c2.trivial_subgroup()), ("r", "w", c3.trivial_subgroup()),
+         ("q", "w", c3.trivial_subgroup())],
+        [("d5", "p", "r", "e", "1", "1"), ("d1", "p", "q", "e", "1", "1"),
+         ("d3", "p", "r", "e", "a", "1"), ("d2", "p", "q", "e", "1", "1")],
+    )
+    clashes = [
+        {"vertex": "p", "target_edge": "e", "edges": ("d1", "d2")},
+        {"vertex": "p", "target_edge": "e", "edges": ("d1", "d5")},
+        {"vertex": "p", "target_edge": "e", "edges": ("d2", "d5")},
+        {"vertex": "r", "target_edge": "~e", "edges": ("~d3", "~d5")},
+        {"vertex": "q", "target_edge": "~e", "edges": ("~d1", "~d2")},
+    ]
+    assert check_immersion(m) == CheckReport(False, clashes)
+    assert check_cover(m) == CheckReport(False, clashes)
+
+
+def test_check_immersion_sorts_the_target_edges_at_a_vertex(c2c3c2):
+    """At q the ~e lifts come first in the out-list, the f lifts first in
+    the report."""
+    u, w, z = (c2c3c2.group_at(x).trivial_subgroup() for x in "uwz")
+    m = _hand_built(
+        c2c3c2,
+        [("p", "u", u), ("q", "w", w), ("r", "z", z)],
+        [("a1", "p", "q", "e", "1", "b"), ("a2", "p", "q", "e", "a", "b"),
+         ("c1", "r", "q", "~f", "1", "1"), ("c2", "r", "q", "~f", "c", "1")],
+    )
+    assert m.domain.graph.edges_at("q") == ["~a1", "~a2", "~c1", "~c2"]
+    assert check_immersion(m).violations == [
+        {"vertex": "q", "target_edge": "f", "edges": ("~c1", "~c2")},
+        {"vertex": "q", "target_edge": "~e", "edges": ("~a1", "~a2")},
+    ]
+
+
+def test_check_cover_pins_missing_reps_at_two_vertices_and_two_edges(z2):
+    x, y = z2.group_at("x"), z2.group_at("y")
+    m = _hand_built(
+        z2,
+        [("p", "x", x.subgroup([3])), ("r", "x", x.subgroup([7])),
+         ("q", "y", y.subgroup([3]))],
+        [("d1", "p", "q", "e", 1, 0), ("d2", "r", "q", "e", 5, 1)],
+    )
+    assert check_immersion(m).ok
+    assert check_cover(m) == CheckReport(False, [
+        {"vertex": "p", "target_edge": "e", "have": 1, "need": 3, "missing": [0, 2]},
+        {"vertex": "r", "target_edge": "e", "have": 1, "need": 7,
+         "missing": [0, 1, 2, 3, 4]},
+        {"vertex": "q", "target_edge": "~e", "have": 2, "need": 3, "missing": [2]},
+    ])
+
+
+def test_check_cover_reports_a_clash_before_an_infinite_index(z2):
+    """The clash at q wins over the infinite index at p, listed before it."""
+    x, y = z2.group_at("x"), z2.group_at("y")
+    m = _hand_built(
+        z2,
+        [("p", "x", x.trivial_subgroup()), ("q", "y", y.subgroup([2]))],
+        [("d1", "p", "q", "e", 0, 0), ("d2", "p", "q", "e", 1, 2)],
+    )
+    clash = [{"vertex": "q", "target_edge": "~e", "edges": ("~d1", "~d2")}]
+    assert check_cover(m) == CheckReport(False, clash)
+
+
+def test_validate_names_the_least_of_two_faulty_edges(pslz):
+    """Edge b is added first, so ~b precedes a in storage; the sorted walk
+    reaches a first, and its fault is the one reported."""
+    c2, c3 = pslz.group_at("u"), pslz.group_at("w")
+    m = _hand_built(
+        pslz,
+        [("p", "u", c2.trivial_subgroup()), ("q", "w", c3.trivial_subgroup())],
+        [("b", "p", "q", "e", "1", "1"), ("a", "p", "q", "e", "a", "1")],
+    )
+    with pytest.raises(GogsepError, match=r"^'za' is not an element of C2$"):
+        remake(m, delta={**m.delta, "~b": "zb", "a": "za"})
+    with pytest.raises(GogsepError, match=r"^edge map breaks iota at 'a'$"):
+        remake(m, edge_map={**m.edge_map, "~b": "f", "a": "~e", "~a": "e"})
 
 
 # -- lifting -----------------------------------------------------------------

@@ -1,6 +1,6 @@
 import dataclasses
+import hashlib
 import json
-import sys
 
 import pytest
 
@@ -25,9 +25,11 @@ from gogsep import (
     word_from_json,
 )
 from gogsep.errors import AlreadyMember, EdgeChainBroken, GogsepError
+from gogsep.morphism import _Working
+from gogsep.verifier import crosscheck
 
-from conftest import INSTANCES, W, pslz_conjugates, remake
-from test_golden import _rose2_instance
+from conftest import INSTANCES, W, count_calls, pslz_conjugates, remake
+from test_golden import GOLDEN, _rose2_instance
 
 
 def ab_loop(pslz):
@@ -252,29 +254,54 @@ def test_verify_rejects_outside_generators(pslz):
     assert "generators" in failed
 
 
+def _mutations(cert):
+    """The certificate and four broken copies: two lifts of one target
+    edge with their deltas swapped (where some deltas differ), the least
+    edge pair dropped, a wrong degree, and an element inside H."""
+    m = cert.cover
+    yield cert
+    for v in m.domain.graph.vertices:
+        pair = next(
+            (ls[:2] for _, ls in sorted(m.lifts_at(v).items())
+             if len(ls) > 1 and m.delta[ls[0]] != m.delta[ls[1]]),
+            None,
+        )
+        if pair:
+            w = _Working.of(m)
+            a, b = pair
+            w.delta[a], w.delta[b] = w.delta[b], w.delta[a]
+            yield dataclasses.replace(cert, cover=w.freeze())
+            break
+    w = _Working.of(m)
+    w.drop_pair(m.domain.graph.edge_pairs()[0])
+    yield dataclasses.replace(cert, cover=w.freeze())
+    yield dataclasses.replace(cert, degree=cert.degree + 1)
+    yield dataclasses.replace(cert, element=cert.generators[0])
+
+
+# sha256 of the verify and crosscheck transcripts of each golden certificate
+# and its mutations; a faster check must report every fault the same way.
+TRANSCRIPT_DIGESTS = {
+    "f2z": "27b205bf582218a37747ed87267828165f7825305370f5f1bd0d0bd478fe670d",
+    "pslz": "90b00c45826a2adfab0c58fd4325ba7f2f30822aeb654bd20bdd2453f1969c62",
+    "pslz-folds": "f96dbb64a40b9afe52a92f0c8de98e7e88f06fb8e6ff159b0fbef5ca5224d490",
+    "rose2": "69175bd1fe7b05429d42b24ef2b34fe979b99c932e2e6ac37c637b00491a87fd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_DIGESTS))
+def test_verify_and_crosscheck_transcripts_are_pinned(name):
+    cert = separate_element(*GOLDEN[name][0](), seed=0)
+    transcripts = [
+        (verify_certificate(c).transcript, crosscheck(c).transcript)
+        for c in _mutations(cert)
+    ]
+    assert len(transcripts) == (4 if name == "rose2" else 5)  # C1 has one delta
+    digest = hashlib.sha256(repr(transcripts).encode()).hexdigest()
+    assert digest == TRANSCRIPT_DIGESTS[name]
+
+
 # -- each fact checked once --------------------------------------------------
-
-
-def _count_calls(monkeypatch, *names):
-    """Count calls of gogsep functions, wrapped in every module that binds them."""
-    counts = dict.fromkeys(names, 0)
-
-    def counter(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for name in names:
-        original = getattr(gogsep, name)
-        wrapper = counter(name, original)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "gogsep" or mod_name.startswith("gogsep."):
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, wrapper)
-    return counts
 
 
 def test_verify_certificate_is_the_only_cover_check(monkeypatch):
@@ -284,7 +311,7 @@ def test_verify_certificate_is_the_only_cover_check(monkeypatch):
     target = gog_from_json(load("pslz.json"))
     gens = [word_from_json(target, w) for w in load("pslz_gens.json")["generators"]]
     g = word_from_json(target, load("pslz_element.json"))
-    counts = _count_calls(monkeypatch, "check_cover")
+    counts = count_calls(monkeypatch, gogsep, "check_cover")
 
     cert = separate_element(target, target.base, gens, g, seed=0)
     assert counts == {"check_cover": 1}
@@ -294,34 +321,43 @@ def test_verify_certificate_is_the_only_cover_check(monkeypatch):
     assert counts["check_cover"] == 1
 
 
+def test_verify_keys_each_cover_edge_once(monkeypatch):
+    """One coset key per directed cover edge, then one per lift step and
+    two per member test (the closed lift's element and the identity).  A
+    lift that keyed every lift of f at each step would pay for the 14
+    lifts at the base again."""
+    cert = separate_element(*GOLDEN["f2z"][0](), seed=0)
+    images = cert.cover.vgroup_image
+    assert max(h.index() for h in images.values() if h.group.kind != "finite") >= 3
+    steps = sum(w.reduce().n for w in [*cert.generators, cert.element])
+    element = lift_loop(cert.cover, cert.element, cert.base_vertex)
+    members = len(cert.generators) + (element.case == "closed")
+    edges = len(cert.cover.domain.graph.directed_edges)
+    counts = [
+        count_calls(monkeypatch, cls, "coset_key")
+        for cls in {type(h) for h in images.values()}
+    ]
+    assert verify_certificate(cert).ok
+    assert sum(c["coset_key"] for c in counts) <= edges + steps + 2 * members
+
+
 def test_separate_validates_once_however_many_folds(monkeypatch):
     """Stages hand their results over unchecked; only verify validates."""
-    counts = dict.fromkeys(("validate", "is_connected", "add_edge"), 0)
-
-    def counted(cls, name):
-        original = getattr(cls, name)
-
-        def wrapper(self, *args):
-            counts[name] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(DecoratedMorphism, "validate")
-    counted(Graph, "is_connected")
-    counted(Graph, "add_edge")
+    validated = count_calls(monkeypatch, DecoratedMorphism, "validate")
+    built = count_calls(monkeypatch, Graph, "is_connected", "add_edge")
     per_run = []
     for k in (10, 30):
         target, u0, gens, g = pslz_conjugates(k)
         m = wedge(target, u0, gens)
-        counts["validate"] = 0
+        validated["validate"] = 0
         folded = fold(m)
-        assert counts["validate"] == 0
+        assert validated["validate"] == 0
         if k == 30:  # each fold removes one edge pair
             assert len(m.domain.graph.edge_pairs()) - len(folded.domain.graph.edge_pairs()) >= 100
-        counts.update(validate=0, is_connected=0, add_edge=0)
+        validated["validate"] = 0
+        built.update(is_connected=0, add_edge=0)
         separate_element(target, u0, gens, g, seed=0)
-        per_run.append(dict(counts))
+        per_run.append({**validated, **built})
     # verify's structure step is the one validation
     assert per_run == [{"validate": 1, "is_connected": 0, "add_edge": 0}] * 2
 
@@ -332,55 +368,38 @@ def test_lifting_and_verifying_read_reverses_from_the_graph(monkeypatch):
     target, u0, gens, g = _rose2_instance()
     m = fold(wedge(target, u0, gens))
     cert = separate_element(target, u0, gens, g, seed=0)
-    counts = dict.fromkeys(("bar", "edges_at"), 0)
-
-    def counted(name, original):
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    bar = counted("bar", gogsep.core.bar)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "gogsep" and hasattr(module, "bar"):
-            monkeypatch.setattr(module, "bar", bar)
-    monkeypatch.setattr(Graph, "edges_at", counted("edges_at", Graph.edges_at))
+    bars = count_calls(monkeypatch, gogsep.core, "bar")
+    scans = count_calls(monkeypatch, Graph, "edges_at")
     answers = [
         subgroup_member(h, base, w)
         for h, base in ((m, m.domain.base), (cert.cover, cert.base_vertex))
         for w in [*gens, g]
     ]
     assert answers == [True, True, False] * 2
-    assert counts == {"bar": 0, "edges_at": 0}
+    assert {**bars, **scans} == {"bar": 0, "edges_at": 0}
     assert verify_certificate(cert).ok
-    assert counts["bar"] == 0
+    assert bars["bar"] == 0
 
 
 def test_separate_validates_each_input_word_where_it_is_first_read(monkeypatch):
     """wedge validates the 3 generators and lift_loop the element; verify
     validates all 4 again at the certificate boundary."""
-    calls = []
-    original = Word.validate
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Word, "validate", counted)
+    counts = count_calls(monkeypatch, Word, "validate")
     target, u0, gens, g = pslz_conjugates(30)
     separate_element(target, u0, gens, g, seed=0)
-    assert len(calls) == 8
+    assert counts["validate"] == 8
 
 
 def test_completion_checks_immersion_in_its_slot_pass(monkeypatch):
-    """Only verify's cover check runs check_immersion."""
+    """Completion keys no lift through the checks; verify's cover check is
+    the one keyed pass of a separation, and it checks immersion in place."""
     target, u0, gens, g = pslz_conjugates(30)
     m = fold(wedge(target, u0, gens))
     enlarged = enlarge(m)
-    counts = _count_calls(monkeypatch, "check_immersion")
+    checks = count_calls(monkeypatch, gogsep, "check_immersion", "check_cover")
+    passes = count_calls(monkeypatch, gogsep.morphism, "_coset_slots")
     complete_to_cover(enlarged, seed=0)
-    assert counts == {"check_immersion": 0}
+    assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 0, "_coset_slots": 0}
 
     separate_element(target, u0, gens, g, seed=0)
-    assert counts == {"check_immersion": 1}
+    assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 1, "_coset_slots": 1}
