@@ -18,7 +18,16 @@ from gogsep import (
     bar,
     word_from_json,
 )
-from gogsep.errors import ElementOutOfGroup, GogsepError, NotAnImmersion
+from gogsep.completion import DEGREE_CAP
+from gogsep.core import fresh_names
+from gogsep.errors import (
+    ElementOutOfGroup,
+    GogsepError,
+    InfiniteIndexVertex,
+    NotAnImmersion,
+    UnboundedEnumeration,
+)
+from gogsep.morphism import _Working, lifts_by_edge
 from gogsep.verifier import _enumerate, _group_letter, _presentation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -251,6 +260,77 @@ def restriction_check(small, big):
         if small.delta[e] != big.delta[e]:  # element values are canonical
             violations.append({"kind": "delta", "edge": e})
     return CheckReport(not violations, violations)
+
+
+def lifts_at(m, v):
+    """{f: lifts of f at v}, for each target edge f lifted at v, sorted by id."""
+    return lifts_by_edge(m.domain.graph.edges_at(v), m.edge_map)
+
+
+def reference_complete(m, seed=None):
+    """Reference for ``complete_to_cover``: each target edge pair rebuilds
+    the free-slot dicts of both its ends, keys every lift of the pair from
+    both sides, and sorts the slots left free by (vertex, rep)."""
+    tgt = m.target.graph
+    fibers = {u: [] for u in tgt.vertices}
+    degrees = dict.fromkeys(tgt.vertices, 0)
+    for v in m.domain.graph.vertices:
+        index = m.vgroup_image[v].index()
+        if index is None:
+            raise InfiniteIndexVertex(
+                f"subgroup at {v!r} has infinite index; completion needs finite index"
+            )
+        fibers[m.vertex_map[v]].append(v)
+        degrees[m.vertex_map[v]] += index
+    d = max(degrees.values())
+    if d > DEGREE_CAP:
+        raise UnboundedEnumeration(f"cover degree would pass {DEGREE_CAP}")
+
+    work = _Working.of(m)
+    fresh_vertex = fresh_names(m.domain.graph.vertices)
+    padding = []
+    for u in sorted(tgt.vertices):
+        for _ in range(d - degrees[u]):
+            z = fresh_vertex("z")
+            padding.append((z, u))
+            fibers[u].append(z)
+    for z, u in sorted(padding):
+        work.add_vertex(z, u, m.target.group_at(u).full_subgroup())
+
+    def free_slots(u):
+        slots = {}
+        for v in sorted(fibers[u]):
+            handle = work.vgroup_image[v]
+            for r in handle.coset_reps():
+                slots[(v, handle.coset_key(r))] = r
+        return slots
+
+    dom = m.domain.graph
+    lifts = lifts_by_edge(dom.directed_edges, m.edge_map)
+    fresh_edge = fresh_names(dom.edge_pairs())
+    for f in tgt.edge_pairs():
+        lhs, rhs = free_slots(tgt.iota(f)), free_slots(tgt.tau(f))
+        for e in lifts.get(f, ()):
+            back = dom._rev[e]
+            v, w = dom._iota[e], dom._iota[back]
+            lkey = (v, m.vgroup_image[v].coset_key(m.delta[e]))
+            rkey = (w, m.vgroup_image[w].coset_key(m.delta[back]))
+            if lkey not in lhs or rkey not in rhs:
+                raise NotAnImmersion(f"lifts of {f!r} collide on a coset slot")
+            del lhs[lkey], rhs[rkey]
+        free_l, free_r = list(lhs.items()), list(rhs.items())
+
+        def slot_sort(slot):
+            (v, _), rep = slot
+            return (v, work.oracle_at(v).sort_key(rep))
+
+        free_l.sort(key=slot_sort)
+        free_r.sort(key=slot_sort)
+        if seed is not None:
+            random.Random(f"{seed}|{f}").shuffle(free_r)
+        for ((v, _), lrep), ((w, _), rrep) in zip(free_l, free_r):
+            work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
+    return work.freeze()
 
 
 def scan_lift(m, g, u0):

@@ -1,15 +1,41 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogsep import (
+    DecoratedMorphism,
+    Graph,
+    GraphOfGroups,
     complete_to_cover,
     cover_index,
+    enlarge,
     fold,
     morphism_to_json,
     wedge,
 )
-from gogsep.errors import InfiniteIndexVertex, NotAnImmersion
+from gogsep.errors import (
+    GogsepError,
+    InfiniteIndexVertex,
+    NotAnImmersion,
+    UnboundedEnumeration,
+)
 
-from conftest import W, identity_morphism, remake, restriction_check
+from conftest import (
+    W,
+    gen_corpus,
+    identity_morphism,
+    lifts_at,
+    make_c2c3c2,
+    make_f2c2,
+    make_pslz,
+    make_rose2,
+    make_z2,
+    reference_complete,
+    remake,
+    restriction_check,
+)
 
 
 def ab_immersion(pslz):
@@ -64,8 +90,8 @@ def test_complete_fills_loop_edge_targets(rose2):
     assert cover_index(cover) == 2
     # q had no lifts at all: both fiber vertices pick one up
     for v in cover.domain.graph.vertices:
-        assert len(cover.lifts_at(v)["q"]) == 1
-        assert len(cover.lifts_at(v)["~q"]) == 1
+        assert len(lifts_at(cover, v)["q"]) == 1
+        assert len(lifts_at(cover, v)["~q"]) == 1
 
 
 def test_complete_pads_empty_fiber(z2):
@@ -87,6 +113,97 @@ def test_complete_requires_finite_index(z2):
     m = wedge(z2, "x", [])
     with pytest.raises(InfiniteIndexVertex):
         complete_to_cover(m)
+
+
+REFERENCE_TARGETS = {
+    "pslz": (make_pslz, "u"),
+    "rose2": (make_rose2, "o"),
+    "c2c3c2": (make_c2c3c2, "u"),
+    "f2c2": (make_f2c2, "x"),
+    "z2": (make_z2, "x"),
+}
+
+
+def _outcome(complete, m, seed):
+    """The completion's JSON, or the type and message of what it raised."""
+    try:
+        return morphism_to_json(complete(m, seed=seed))
+    except GogsepError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(tuple(REFERENCE_TARGETS)),
+    st.integers(0, 10**6),
+    st.integers(1, 3),
+    st.sampled_from((None, 0, 7)),
+)
+def test_completion_matches_the_reference(name, corpus_seed, count, seed):
+    """On enlarged random folds, with and without a shuffle seed."""
+    make, u0 = REFERENCE_TARGETS[name]
+    target = make()
+    gens = gen_corpus(target, u0, random.Random(corpus_seed), count)
+    m = enlarge(fold(wedge(target, u0, gens)))
+    assert _outcome(complete_to_cover, m, seed) == _outcome(reference_complete, m, seed)
+
+
+def _hand_built(target, vertices, edges):
+    """A morphism from vertices {v: (image, handle)} and edge pairs
+    {e: (start, end, image, delta at start, delta at end)}, unchecked for
+    immersion."""
+    g = Graph()
+    for v in vertices:
+        g.add_vertex(v)
+    for e, (a, b, *_) in edges.items():
+        g.add_edge(e, a, b)
+    dom = GraphOfGroups(
+        g, {v: target.group_at(u) for v, (u, _) in vertices.items()}, base=next(iter(vertices))
+    )
+    edge_map, delta = {}, {}
+    for e, (_, _, f, x, y) in edges.items():
+        edge_map[e], edge_map["~" + e] = f, "~" + f
+        delta[e], delta["~" + e] = x, y
+    return DecoratedMorphism(
+        dom, target, {v: u for v, (u, _) in vertices.items()}, edge_map,
+        {v: h for v, (_, h) in vertices.items()}, delta,
+    )
+
+
+def test_completion_names_the_least_colliding_pair(rose2):
+    """p collides only on its ~p side (x1, x2 end at c), q on its q side
+    (y1, y2 start at c); the message names p."""
+    full, one = rose2.group_at("o").full_subgroup(), rose2.group_at("o").identity()
+    m = _hand_built(
+        rose2,
+        {v: ("o", full) for v in "abc"},
+        {
+            "x1": ("a", "c", "p", one, one),
+            "x2": ("b", "c", "p", one, one),
+            "y1": ("c", "a", "q", one, one),
+            "y2": ("c", "b", "q", one, one),
+        },
+    )
+    for complete in (complete_to_cover, reference_complete):
+        with pytest.raises(NotAnImmersion, match="lifts of 'p' collide"):
+            complete(m)
+
+
+def test_completion_checks_the_index_and_the_cap_before_collisions(z2):
+    g = W(z2, "x", "2", "e", "3", "~e", "0")
+    clash = wedge(z2, "x", [g, g])  # trivial subgroups of Z: infinite index
+    for complete in (complete_to_cover, reference_complete):
+        with pytest.raises(InfiniteIndexVertex):
+            complete(clash)
+    zx = z2.group_at("x")
+    huge = _hand_built(
+        z2,
+        {"a": ("x", zx.subgroup([100_001])), "b": ("y", z2.group_at("y").full_subgroup())},
+        {"s1": ("a", "b", "e", 0, 0), "s2": ("a", "b", "e", 0, 0)},
+    )
+    for complete in (complete_to_cover, reference_complete):
+        with pytest.raises(UnboundedEnumeration):
+            complete(huge)
 
 
 def test_restriction_check_catches_tampering(pslz):

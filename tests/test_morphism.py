@@ -20,7 +20,7 @@ from gogsep.errors import (
 )
 from gogsep.morphism import MISSING_SHOWN
 
-from conftest import W, identity_morphism, remake, subgroup_generators
+from conftest import W, identity_morphism, lifts_at, remake, subgroup_generators
 
 
 def ab_immersion(pslz):
@@ -35,7 +35,7 @@ def test_identity_morphism_is_degree_one_cover(pslz):
     assert check_cover(m).ok
     assert cover_index(m) == 1
     assert m.fiber("u") == ["u"]
-    assert m.lifts_at("u") == {"e": ["e"]}
+    assert lifts_at(m, "u") == {"e": ["e"]}
 
 
 def test_validate_requires_shared_oracles(pslz):
@@ -66,9 +66,9 @@ def test_validate_rejects_broken_maps(pslz):
 
 def test_lifts_at_groups_a_vertex_lifts_by_target_edge(pslz):
     m = ab_immersion(pslz)
-    assert m.lifts_at("v0") == {"e": ["c1_1", "~c1_2"]}
-    assert m.lifts_at("v1_1") == {"~e": ["c1_2", "~c1_1"]}
-    assert [m.delta[e] for e in m.lifts_at("v0")["e"]] == ["a", "1"]
+    assert lifts_at(m, "v0") == {"e": ["c1_1", "~c1_2"]}
+    assert lifts_at(m, "v1_1") == {"~e": ["c1_2", "~c1_1"]}
+    assert [m.delta[e] for e in lifts_at(m, "v0")["e"]] == ["a", "1"]
 
 
 # -- immersion / cover checks ------------------------------------------------
