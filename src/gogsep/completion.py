@@ -19,7 +19,7 @@ from .errors import (
     NotAnImmersion,
     UnboundedEnumeration,
 )
-from .morphism import DecoratedMorphism, _Working, lifts_by_edge
+from .morphism import DecoratedMorphism, _Working, _coset_slots
 
 __all__ = ["complete_to_cover"]
 
@@ -66,42 +66,35 @@ def complete_to_cover(
     for z, u in sorted(padding):  # after the old vertices, in sorted order
         work.add_vertex(z, u, m.target.group_at(u).full_subgroup())
 
-    def free_slots(u):
-        """{(vertex, coset key): coset rep} over the fiber of u, sorted."""
-        slots = {}
-        for v in sorted(fibers[u]):
+    # One slot table per target vertex: {(vertex, coset key): coset rep}
+    # over its fiber, vertices sorted and each one's reps by sort_key.
+    tables = {}
+    for u, fiber in fibers.items():
+        table = tables[u] = {}
+        for v in sorted(fiber):
             handle = work.vgroup_image[v]
-            for r in handle.coset_reps():
-                slots[(v, handle.coset_key(r))] = r
-        return slots
-
-    # At finite index every coset key is some transversal rep's key, so a
-    # lift finds its slot gone only when another lift of f took it.
-    dom = m.domain.graph
-    lifts = lifts_by_edge(dom.directed_edges, m.edge_map)
-    fresh_edge = fresh_names(dom.edge_pairs())
+            for r in sorted(handle.coset_reps(), key=handle.group.sort_key):
+                table[(v, handle.coset_key(r))] = r
+    # Each lift claims its slot in the cover check's keyed pass (at finite
+    # index every key is some transversal rep's); two in one slot collide.
+    claims, collided = {}, set()
+    for v, by_slot in _coset_slots(m).items():
+        for (f, key), bucket in by_slot.items():
+            claims.setdefault(f, set()).add((v, key))
+            if len(bucket) > 1:
+                collided.add(f)
+    fresh_edge = fresh_names(m.domain.graph.edge_pairs())
     for f in tgt.edge_pairs():
-        lhs, rhs = free_slots(tgt.iota(f)), free_slots(tgt.tau(f))
-        for e in lifts.get(f, ()):
-            back = dom._rev[e]
-            v, w = dom._iota[e], dom._iota[back]
-            lkey = (v, m.vgroup_image[v].coset_key(m.delta[e]))
-            rkey = (w, m.vgroup_image[w].coset_key(m.delta[back]))
-            if lkey not in lhs or rkey not in rhs:
-                raise NotAnImmersion(f"lifts of {f!r} collide on a coset slot")
-            del lhs[lkey], rhs[rkey]
+        back = tgt._rev[f]
+        if f in collided or back in collided:
+            raise NotAnImmersion(f"lifts of {f!r} collide on a coset slot")
         # both sides began with d slots and lost one per lift: equal counts
-        free_l, free_r = list(lhs.items()), list(rhs.items())
-
-        def slot_sort(slot):
-            (v, _), rep = slot
-            return (v, work.oracle_at(v).sort_key(rep))
-
-        free_l.sort(key=slot_sort)
-        free_r.sort(key=slot_sort)
+        left, right = tables[tgt.iota(f)], tables[tgt.tau(f)]
+        taken_l, taken_r = claims.get(f, ()), claims.get(back, ())
+        free_l = [(s[0], r) for s, r in left.items() if s not in taken_l]
+        free_r = [(s[0], r) for s, r in right.items() if s not in taken_r]
         if seed is not None:
             random.Random(f"{seed}|{f}").shuffle(free_r)
-        for ((v, _), lrep), ((w, _), rrep) in zip(free_l, free_r):
+        for (v, lrep), (w, rrep) in zip(free_l, free_r):
             work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
     return work.freeze()
-

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotAnImmersion
-from .morphism import DecoratedMorphism, _Working, lifts_by_coset
+from .morphism import DecoratedMorphism, _Working, lifts_by_coset, lifts_by_edge
 
 __all__ = ["exclusion_sets", "enlarge"]
 
@@ -33,7 +33,7 @@ def exclusion_sets(m: DecoratedMorphism, extra: Optional[dict] = None) -> dict:
         oracle = m.oracle_at(v)
         handle = m.vgroup_image[v]
         seen = set()
-        by_edge = m.lifts_at(v)
+        by_edge = lifts_by_edge(m.domain.graph._out[v], m.edge_map)
         for f in sorted(by_edge):
             lifts = by_edge[f]
             if len(lifts) < 2:

@@ -114,10 +114,6 @@ class DecoratedMorphism:
     def fiber(self, u: str) -> list[str]:
         return sorted(v for v in self.domain.graph.vertices if self.vertex_map[v] == u)
 
-    def lifts_at(self, v: str) -> dict:
-        """{f: lifts of f at v}, for each target edge f lifted at v, sorted by id."""
-        return lifts_by_edge(self.domain.graph._out[v], self.edge_map)
-
 
 class _Working:
     """A morphism's data opened for editing in place, then frozen once.

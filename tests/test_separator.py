@@ -28,7 +28,7 @@ from gogsep.errors import AlreadyMember, EdgeChainBroken, GogsepError
 from gogsep.morphism import _Working
 from gogsep.verifier import crosscheck
 
-from conftest import INSTANCES, W, count_calls, pslz_conjugates, remake
+from conftest import INSTANCES, W, count_calls, lifts_at, pslz_conjugates, remake
 from test_golden import GOLDEN, _rose2_instance
 
 
@@ -262,7 +262,7 @@ def _mutations(cert):
     yield cert
     for v in m.domain.graph.vertices:
         pair = next(
-            (ls[:2] for _, ls in sorted(m.lifts_at(v).items())
+            (ls[:2] for _, ls in sorted(lifts_at(m, v).items())
              if len(ls) > 1 and m.delta[ls[0]] != m.delta[ls[1]]),
             None,
         )
@@ -391,15 +391,17 @@ def test_separate_validates_each_input_word_where_it_is_first_read(monkeypatch):
 
 
 def test_completion_checks_immersion_in_its_slot_pass(monkeypatch):
-    """Completion keys no lift through the checks; verify's cover check is
-    the one keyed pass of a separation, and it checks immersion in place."""
+    """Completion reads its claims from one keyed pass and runs neither
+    check; verify's cover check keys the cover once more and checks
+    immersion in place."""
     target, u0, gens, g = pslz_conjugates(30)
     m = fold(wedge(target, u0, gens))
     enlarged = enlarge(m)
     checks = count_calls(monkeypatch, gogsep, "check_immersion", "check_cover")
     passes = count_calls(monkeypatch, gogsep.morphism, "_coset_slots")
     complete_to_cover(enlarged, seed=0)
-    assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 0, "_coset_slots": 0}
+    assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 0, "_coset_slots": 1}
 
+    passes["_coset_slots"] = 0
     separate_element(target, u0, gens, g, seed=0)
-    assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 1, "_coset_slots": 1}
+    assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 1, "_coset_slots": 2}
