@@ -112,9 +112,10 @@ def cmd_index(args) -> int:
         v: m.vgroup_image[v].index() for v in m.domain.graph.vertices
     }
     out = {"vertex_indices": per_vertex}
-    report = check_cover(m)
-    if report.ok:
-        out["cover_degree"] = report.degree
+    if None not in per_vertex.values():  # only finite indices admit a cover
+        report = check_cover(m)
+        if report.ok:
+            out["cover_degree"] = report.degree
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -174,6 +175,9 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    if args.radius < 0 or args.coset_cap < 1:
+        print("error: --radius must be at least 0 and --coset-cap at least 1", file=sys.stderr)
+        return 2
     cert = certificate_from_json(_read_json(args.certificate), max_order=args.max_order)
     return _print_transcript(
         crosscheck(cert, radius=args.radius, cap=args.coset_cap)

@@ -347,7 +347,7 @@ def certificate_from_json(doc, path="$", max_order=64) -> SeparationCertificate:
     if not cover.domain.graph.has_vertex(cover_base):
         raise SchemaError(f"{path}.cover_base", f"unknown vertex {cover_base!r}")
     degree = _expect(doc, "degree", int, path)
-    seed = doc.get("seed")
+    seed = None if doc.get("seed") is None else _expect(doc, "seed", int, path)
     return SeparationCertificate(
         target=target,
         u0=u0,

@@ -309,8 +309,10 @@ def tree_ball(
     and e an edge at v, except the backtracking (identity, reverse of
     the arriving edge).  Default letter sets are the full vertex groups.
     Raises UnboundedEnumeration before a layer that could take the ball
-    past BALL_CAP nodes.
+    past BALL_CAP nodes, and GogsepError on a negative radius.
     """
+    if radius < 0:
+        raise GogsepError(f"tree ball radius {radius} is negative")
     if letters is None:
         _require_finite(gog, "tree ball")
         letters = {

@@ -67,6 +67,22 @@ def test_complete_then_index(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cover_degree"] == 3
 
 
+def test_index_of_an_immersion_with_infinite_indices(tmp_path, capsys):
+    """Folds over Z usually keep infinite-index vertex subgroups; index
+    reports them as null and gives no cover degree."""
+    z2 = str(INSTANCES / "z2.json")
+    gens = write_json(
+        tmp_path / "gens.json",
+        {"generators": [{"start": "x", "word": ["2", "e", "3", "~e", "0"]}]},
+    )
+    folded = tmp_path / "folded.json"
+    assert main(["fold", z2, "--gens", gens, "-o", str(folded)]) == 0
+    capsys.readouterr()
+    assert main(["index", str(folded)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"vertex_indices": {"v0": None, "v1_1": None}}
+
+
 def test_separate_verify_crosscheck(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert (
@@ -328,6 +344,33 @@ def test_crosscheck_past_the_coset_cap_exits_1(tmp_path, capsys):
     assert "FAIL coset-enumeration: coset enumeration did not close within 2" in (
         capsys.readouterr().out
     )
+
+
+def test_crosscheck_rejects_a_negative_radius_or_a_cap_below_one(tmp_path, capsys):
+    """Radius -3 used to embed the one-node ball and pass."""
+    cert = tmp_path / "cert.json"
+    main(["separate", PSLZ, "--gens", GENS, "--element", ELEMENT, "-o", str(cert)])
+    capsys.readouterr()
+    for flags in (["--radius", "-3"], ["--coset-cap", "0"]):
+        assert main(["crosscheck", str(cert), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --radius") and err.count("\n") == 1
+    assert main(["crosscheck", str(cert), "--radius", "0", "--coset-cap", "1"]) == 1
+
+
+def test_certificate_seed_must_be_an_integer_or_null(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    main(["separate", PSLZ, "--gens", GENS, "--element", ELEMENT, "-o", str(cert)])
+    doc = json.loads(cert.read_text())
+    assert doc["seed"] is None
+    capsys.readouterr()
+    for seed in (7, None):
+        assert main(["verify", write_json(tmp_path / "ok.json", {**doc, "seed": seed})]) == 0
+    for seed in ({"deep": [1, 2]}, "7", True, 1.5):
+        bad = write_json(tmp_path / "bad.json", {**doc, "seed": seed})
+        capsys.readouterr()
+        assert main(["verify", bad]) == 2
+        assert "$.seed: expected int" in capsys.readouterr().err
 
 
 def test_non_ascii_digit_in_a_free_word_is_a_schema_error(tmp_path, capsys):

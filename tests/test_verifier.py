@@ -121,6 +121,14 @@ def test_tree_ball_sizes(pslz, dinfty):
     assert len(tree_ball(dinfty, "u", 3)) == 7  # binary: 1 + 2 + 2 + 2
 
 
+def test_tree_ball_rejects_a_negative_radius(pslz):
+    """A negative radius would give the one-node ball and a vacuous pass."""
+    with pytest.raises(GogsepError, match="radius -3 is negative"):
+        tree_ball(pslz, "u", -3)
+    with pytest.raises(GogsepError):
+        ball_map_check(identity_morphism(pslz), -1, expect_cover=True)
+
+
 def test_ball_map_identity_cover(pslz):
     m = identity_morphism(pslz)
     assert ball_map_check(m, 3, expect_cover=True).ok
