@@ -53,6 +53,8 @@ def wedge(
     base = "v0"
     w = _Working(target, base)
     w.add_vertex(base, u0, None)  # its subgroup is set below
+    groups, t_iota, t_rev = target.vertex_group, target.graph._iota, target.graph._rev
+    out, iota, rev, edge_map, delta = w.out, w.iota, w.rev, w.edge_map, w.delta
     base_letters = []
     for k, g in enumerate(gens, start=1):
         if g.gog is not target:
@@ -60,31 +62,33 @@ def wedge(
         if g.start != u0 or not g.is_loop():
             raise EndpointMismatch(f"generator {k} is not a loop at {u0!r}")
         g = g.validate().reduce()
-        if g.n == 0:
-            if not target.group_at(u0).is_identity(g.groups[0]):
-                base_letters.append(g.groups[0])
+        n, letters = g.n, g.groups
+        if n == 0:
+            if not groups[u0].is_identity(letters[0]):
+                base_letters.append(letters[0])
             continue
         prev = base
-        for i in range(1, g.n + 1):
-            at = g.vertex_at(i)
-            oracle = target.group_at(at)
-            if i < g.n:
+        # both directions of a pair are written at once; out-lists sort at the end
+        for i, f in enumerate(g.edges, start=1):
+            at = t_iota[t_rev[f]]
+            oracle = groups[at]
+            if i < n:
                 v = f"v{k}_{i}"
                 w.add_vertex(v, at, oracle.trivial_subgroup())
+                d_bar = oracle.identity()
             else:
-                v = base
-            w.add_edge(
-                f"c{k}_{i}",
-                prev,
-                v,
-                g.edges[i - 1],
-                g.groups[i - 1],
-                oracle.inv(g.groups[g.n]) if i == g.n else oracle.identity(),
-            )
+                v, d_bar = base, oracle.inv(letters[n])
+            e, back = f"c{k}_{i}", f"~c{k}_{i}"
+            iota[e], iota[back] = prev, v
+            rev[e], rev[back] = back, e
+            out[prev].append(e)
+            out[v].append(back)
+            edge_map[e], edge_map[back] = f, t_rev[f]
+            delta[e], delta[back] = letters[i - 1], d_bar
             prev = v
-    w.vgroup_image[base] = subgroup_generate(
-        target.group_at(u0), base_letters
-    )
+    for edges in out.values():
+        edges.sort()
+    w.vgroup_image[base] = subgroup_generate(groups[u0], base_letters)
     return w.freeze()
 
 
@@ -94,8 +98,11 @@ def _find_fold(w: _Working, v: str):
     The pair is the least (i, j) in lift order: the first two members of
     the first coset bucket that has two.
     """
+    edges, edge_map = w.out[v], w.edge_map
+    if len({edge_map[e] for e in edges}) == len(edges):
+        return None  # one lift per target edge: no two can share a coset
     handle = w.vgroup_image[v]
-    lifts = lifts_by_edge(w.out[v], w.edge_map)
+    lifts = lifts_by_edge(edges, edge_map)
     for f in sorted(lifts):
         if len(lifts[f]) < 2:
             continue
@@ -143,7 +150,7 @@ def fold(m: DecoratedMorphism) -> DecoratedMorphism:
     while queue:
         v = queue.popleft()
         queued.discard(v)
-        if v not in w.out:
+        if len(w.out.get(v, ())) < 2:
             continue
         found = _find_fold(w, v)
         if found is None:

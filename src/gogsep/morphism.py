@@ -175,14 +175,12 @@ class _Working:
     def add_edge(self, e: str, frm: str, to: str, f: str, d, d_bar):
         """The pair e: frm -> to over f, with delta d and d_bar on ~e."""
         back = bar(e)
-        for x, y, start, image, value in (
-            (e, back, frm, f, d), (back, e, to, bar(f), d_bar)
-        ):
-            self.iota[x] = start
-            self.rev[x] = y
-            bisect.insort(self.out[start], x)
-            self.edge_map[x] = image
-            self.delta[x] = value
+        self.iota[e], self.iota[back] = frm, to
+        self.rev[e], self.rev[back] = back, e
+        bisect.insort(self.out[frm], e)
+        bisect.insort(self.out[to], back)
+        self.edge_map[e], self.edge_map[back] = f, self.target.graph._rev[f]
+        self.delta[e], self.delta[back] = d, d_bar
 
     def drop_pair(self, e: str):
         back = self.rev.pop(e)
@@ -219,7 +217,8 @@ class _Working:
         graph._out, graph._iota, graph._rev = self.out, self.iota, self.rev
         domain = object.__new__(GraphOfGroups)
         domain.graph, domain.base = graph, self.base
-        domain.vertex_group = {v: self.oracle_at(v) for v in self.out}
+        groups, vertex_map = self.target.vertex_group, self.vertex_map
+        domain.vertex_group = {v: groups[vertex_map[v]] for v in self.out}
         m = object.__new__(DecoratedMorphism)
         m.domain, m.target = domain, self.target
         m.vertex_map, m.edge_map = self.vertex_map, self.edge_map

@@ -16,6 +16,8 @@ finite excluded set.
 
 Right cosets S*t are used throughout the package; ``coset_key`` is the
 one coset notion each kind implements, and membership is derived from it.
+A handle never changes once built (only its private caches fill), so one
+may be shared: each oracle builds its trivial and full handles once.
 
 Element values are checked where they enter: ``parse_element`` (which
 the JSON readers call on every delta), ``Word.validate`` in the public
@@ -50,6 +52,7 @@ class VertexGroup:
     """Common surface of a vertex group oracle."""
 
     kind = "abstract"
+    _trivial = _full = None  # the shared handles, built on first request
 
     def identity(self):
         raise NotImplementedError
@@ -71,9 +74,16 @@ class VertexGroup:
         raise NotImplementedError
 
     def trivial_subgroup(self) -> "SubgroupHandle":
-        return self.subgroup([])
+        if self._trivial is None:
+            self._trivial = self.subgroup([])
+        return self._trivial
 
     def full_subgroup(self) -> "SubgroupHandle":
+        if self._full is None:
+            self._full = self._full_subgroup()
+        return self._full
+
+    def _full_subgroup(self) -> "SubgroupHandle":
         raise NotImplementedError
 
     def parse_element(self, text):
@@ -99,7 +109,10 @@ class VertexGroup:
 
 class SubgroupHandle:
     """Common surface of a subgroup of a vertex group, which ``generators``
-    generate.  Membership is the identity's coset: g in S iff S*g == S*1."""
+    generate.  Membership is the identity's coset: g in S iff S*g == S*1.
+
+    Immutable once built, apart from private caches, so handles are shared.
+    """
 
     def __init__(self, group: VertexGroup, generators):
         self.group = group
@@ -256,7 +269,7 @@ class FiniteGroup(VertexGroup):
     def subgroup(self, generators):
         return FiniteSubgroup(self, generators)
 
-    def full_subgroup(self):
+    def _full_subgroup(self):
         return FiniteSubgroup(self, list(self.elements))
 
     def parse_element(self, text):
@@ -384,7 +397,7 @@ class IntGroup(VertexGroup):
     def subgroup(self, generators):
         return IntSubgroup(self, generators)
 
-    def full_subgroup(self):
+    def _full_subgroup(self):
         return IntSubgroup(self, [1])
 
     def parse_element(self, text):
@@ -621,7 +634,7 @@ class FreeGroup(VertexGroup):
     def subgroup(self, generators):
         return FreeSubgroup(self, generators)
 
-    def full_subgroup(self):
+    def _full_subgroup(self):
         return FreeSubgroup(self, [(k,) for k in range(1, self.rank + 1)])
 
     def parse_element(self, text):

@@ -22,12 +22,14 @@ from gogsep.completion import DEGREE_CAP
 from gogsep.core import fresh_names
 from gogsep.errors import (
     ElementOutOfGroup,
+    EndpointMismatch,
     GogsepError,
     InfiniteIndexVertex,
     NotAnImmersion,
     UnboundedEnumeration,
 )
 from gogsep.morphism import _Working, lifts_by_edge
+from gogsep.oracles import FiniteSubgroup, FreeSubgroup, IntSubgroup, subgroup_generate
 from gogsep.verifier import _enumerate, _group_letter, _presentation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -107,6 +109,14 @@ def count_calls(monkeypatch, owner, *names):
                     if value is original:
                         monkeypatch.setattr(mod, attr, wrapper)
     return counts
+
+
+def handles_built(monkeypatch):
+    """Count the subgroup handles built from now on, of every kind; returns
+    a function that reads the running total."""
+    counts = [count_calls(monkeypatch, cls, "__init__")
+              for cls in (FiniteSubgroup, IntSubgroup, FreeSubgroup)]
+    return lambda: sum(c["__init__"] for c in counts)
 
 
 def make_pslz():
@@ -265,6 +275,48 @@ def restriction_check(small, big):
 def lifts_at(m, v):
     """{f: lifts of f at v}, for each target edge f lifted at v, sorted by id."""
     return lifts_by_edge(m.domain.graph.edges_at(v), m.edge_map)
+
+
+def reference_wedge(target, u0, gens):
+    """Reference for ``wedge``: each circle vertex gets the trivial handle
+    its oracle returns, and each edge pair goes through ``_Working.add_edge``,
+    which inserts both directions into sorted out-lists."""
+    if not target.graph.has_vertex(u0):
+        raise GogsepError(f"unknown base vertex {u0!r}")
+    base = "v0"
+    w = _Working(target, base)
+    w.add_vertex(base, u0, None)
+    base_letters = []
+    for k, g in enumerate(gens, start=1):
+        if g.gog is not target:
+            raise GogsepError(f"generator {k} does not live on the target")
+        if g.start != u0 or not g.is_loop():
+            raise EndpointMismatch(f"generator {k} is not a loop at {u0!r}")
+        g = g.validate().reduce()
+        if g.n == 0:
+            if not target.group_at(u0).is_identity(g.groups[0]):
+                base_letters.append(g.groups[0])
+            continue
+        prev = base
+        for i in range(1, g.n + 1):
+            at = g.vertex_at(i)
+            oracle = target.group_at(at)
+            if i < g.n:
+                v = f"v{k}_{i}"
+                w.add_vertex(v, at, oracle.trivial_subgroup())
+            else:
+                v = base
+            w.add_edge(
+                f"c{k}_{i}",
+                prev,
+                v,
+                g.edges[i - 1],
+                g.groups[i - 1],
+                oracle.inv(g.groups[g.n]) if i == g.n else oracle.identity(),
+            )
+            prev = v
+    w.vgroup_image[base] = subgroup_generate(target.group_at(u0), base_letters)
+    return w.freeze()
 
 
 def reference_complete(m, seed=None):

@@ -25,6 +25,7 @@ from gogsep.errors import (
 from conftest import (
     W,
     gen_corpus,
+    handles_built,
     identity_morphism,
     lifts_at,
     make_c2c3c2,
@@ -36,6 +37,7 @@ from conftest import (
     remake,
     restriction_check,
 )
+from test_golden import GOLDEN
 
 
 def ab_immersion(pslz):
@@ -204,6 +206,19 @@ def test_completion_checks_the_index_and_the_cap_before_collisions(z2):
     for complete in (complete_to_cover, reference_complete):
         with pytest.raises(UnboundedEnumeration):
             complete(huge)
+
+
+@pytest.mark.parametrize("name", ["f2z", "pslz-folds"])
+def test_completion_builds_one_full_handle_per_target_vertex(name, monkeypatch):
+    """Padding vertices share their oracle's full handle (the two golden
+    instances that pad more vertices than the target has)."""
+    target, u0, gens, _ = GOLDEN[name][0]()
+    m = enlarge(fold(wedge(target, u0, gens)))
+    built = handles_built(monkeypatch)
+    cover = complete_to_cover(m)
+    padded = len(cover.domain.graph.vertices) - len(m.domain.graph.vertices)
+    assert padded > len(target.graph.vertices)
+    assert built() <= len(target.graph.vertices)
 
 
 def test_restriction_check_catches_tampering(pslz):

@@ -22,11 +22,14 @@ from gogsep import (
     wedge,
 )
 from gogsep.errors import EndpointMismatch, GogsepError, NotACover
-from gogsep.morphism import _Working
+import gogsep.folding
+from gogsep.morphism import _Working, lifts_by_edge
 
 from conftest import (
     W,
+    _random_element,
     gen_corpus,
+    handles_built,
     identity_morphism,
     make_c2c3c2,
     make_dinfty,
@@ -34,8 +37,11 @@ from conftest import (
     make_pslz,
     make_rose2,
     make_z2,
+    random_loop,
+    reference_wedge,
     remake,
 )
+from test_fold_reference import make_f2z
 
 
 # -- wedge -------------------------------------------------------------------
@@ -73,6 +79,99 @@ def test_wedge_rejects_bad_generators(pslz):
         wedge(pslz, "u", [W(pslz, "u", "1", "e", "1")])
     with pytest.raises(GogsepError):
         wedge(pslz, "zz", [])
+
+
+WEDGE_TARGETS = {
+    "rose2": (make_rose2, "o"),
+    "pslz": (make_pslz, "u"),
+    "f2c2": (make_f2c2, "x"),
+    "z2": (make_z2, "x"),
+    "f2z": (make_f2z, "x"),
+}
+
+
+def _layout(m):
+    """What a stage's output stores, in stored order: the base, the
+    out-lists, the edge tables, the maps, each vertex's oracle and its
+    handle's kind, group and generators."""
+    g = m.domain.graph
+    return (
+        m.domain.base,
+        list(g._out.items()),
+        list(g._iota.items()),
+        list(g._rev.items()),
+        list(m.edge_map.items()),
+        list(m.delta.items()),
+        list(m.vertex_map.items()),
+        list(m.domain.vertex_group.items()),
+        [(v, type(h), h.group, h.generators) for v, h in m.vgroup_image.items()],
+    )
+
+
+def _tailed_loop(target, u0, rng):
+    """A loop with at least one edge whose last letter is nontrivial, or
+    None when the draw has no edge or the base group no nontrivial element."""
+    oracle, loop = target.group_at(u0), random_loop(target, u0, rng)
+    if not loop.n or oracle.kind == "finite" and len(oracle.elements) == 1:
+        return None
+    tail = oracle.identity()
+    while oracle.is_identity(tail):
+        tail = _random_element(oracle, rng, 3)
+    return Word(target, u0, loop.groups[:-1] + (tail,), loop.edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(WEDGE_TARGETS)), st.integers(0, 10**6), st.integers(0, 4))
+def test_wedge_matches_the_reference(name, seed, count):
+    """Random loops, one of length zero and, where the base group allows,
+    one ending on a nontrivial letter; the folds of the two wedges agree."""
+    make, u0 = WEDGE_TARGETS[name]
+    target = make()
+    rng = random.Random(seed)
+    gens = [random_loop(target, u0, rng) for _ in range(count)]
+    gens.append(random_loop(target, u0, rng, max_edges=0))
+    tailed = _tailed_loop(target, u0, rng)
+    gens += [tailed] if tailed is not None else []
+    rng.shuffle(gens)
+    m, ref = wedge(target, u0, gens), reference_wedge(target, u0, gens)
+    assert _layout(m) == _layout(ref)
+    assert _layout(fold(m)) == _layout(fold(ref))
+
+
+@pytest.mark.parametrize("name", sorted(WEDGE_TARGETS))
+def test_wedge_builds_one_trivial_handle_per_target_vertex(name, monkeypatch):
+    """Circle vertices share their oracle's trivial handle; the base gets
+    its own, the subgroup its length-zero generators make."""
+    make, u0 = WEDGE_TARGETS[name]
+    target = make()
+    gens = gen_corpus(target, u0, random.Random(7), 6, max_edges=6)
+    built = handles_built(monkeypatch)
+    m = wedge(target, u0, gens)
+    assert len(m.domain.graph.vertices) > len(target.graph.vertices) + 1
+    assert built() <= len(target.graph.vertices) + 1
+    before = built()
+    wedge(target, u0, gens)
+    assert built() == before + 1
+
+
+@pytest.mark.parametrize("name", sorted(WEDGE_TARGETS))
+def test_fold_of_a_wedge_groups_lifts_only_where_two_share_a_target_edge(
+    name, monkeypatch
+):
+    make, u0 = WEDGE_TARGETS[name]
+    target = make()
+    gens = gen_corpus(target, u0, random.Random(3), 8, max_edges=8)
+    m = wedge(target, u0, gens)
+    grouped = []
+
+    def recording(edges, edge_map):
+        grouped.append([edge_map[e] for e in edges])
+        return lifts_by_edge(edges, edge_map)
+
+    monkeypatch.setattr(gogsep.folding, "lifts_by_edge", recording)
+    fold(m)
+    assert grouped
+    assert all(len(set(images)) < len(images) for images in grouped)
 
 
 # -- fold --------------------------------------------------------------------

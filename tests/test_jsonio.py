@@ -108,6 +108,19 @@ def test_morphism_round_trip(pslz):
         assert back.delta[e] == cover.delta[e]
 
 
+def test_documents_that_omit_the_base_read_back_without_it(pslz):
+    """``base`` is optional in a target and in a morphism's domain."""
+    doc = gog_to_json(pslz)
+    del doc["base"]
+    target = gog_from_json(doc)
+    assert target.base is None and gog_to_json(target) == doc
+    doc = morphism_to_json(ab_cover(pslz))
+    del doc["target"]["base"], doc["domain"]["base"]
+    back = morphism_from_json(doc)
+    assert back.target.base is None and back.domain.base is None
+    assert morphism_to_json(back) == doc
+
+
 def test_morphism_paper_left_inverts_deltas(pslz):
     cover = ab_cover(pslz)
     right = morphism_to_json(cover, convention="right")

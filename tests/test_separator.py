@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from gogsep import (
     GraphOfGroups,
     Word,
     attach_separating_path,
+    certificate_from_json,
+    certificate_to_json,
     check_immersion,
     complete_to_cover,
     enlarge,
@@ -25,10 +28,19 @@ from gogsep import (
     word_from_json,
 )
 from gogsep.errors import AlreadyMember, EdgeChainBroken, GogsepError
+from gogsep.jsonio import dumps
 from gogsep.morphism import _Working
 from gogsep.verifier import crosscheck
 
-from conftest import INSTANCES, W, count_calls, lifts_at, pslz_conjugates, remake
+from conftest import (
+    INSTANCES,
+    W,
+    _random_element,
+    count_calls,
+    lifts_at,
+    pslz_conjugates,
+    remake,
+)
 from test_golden import GOLDEN, _rose2_instance
 
 
@@ -405,3 +417,36 @@ def test_completion_checks_immersion_in_its_slot_pass(monkeypatch):
     passes["_coset_slots"] = 0
     separate_element(target, u0, gens, g, seed=0)
     assert {**checks, **passes} == {"check_immersion": 0, "check_cover": 1, "_coset_slots": 2}
+
+
+def _shared_handles(target, samples):
+    """Each oracle's trivial and full handle, with its generators, index
+    and the coset keys of the oracle's sample elements."""
+    return {
+        u: [
+            (h, h.generators, h.index(), [h.coset_key(x) for x in samples[u]])
+            for h in (oracle.trivial_subgroup(), oracle.full_subgroup())
+        ]
+        for u, oracle in target.vertex_group.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["pslz", "pslz-folds", "rose2", "f2z"])
+def test_shared_handles_stay_intact(name):
+    """Separating, writing, reading, verifying and cross-checking leave
+    every oracle's shared trivial and full handles as they were built."""
+    target, u0, gens, g = GOLDEN[name][0]()
+    rng = random.Random(11)
+    samples = {
+        u: [_random_element(o, rng, 4) for _ in range(12)]
+        for u, o in target.vertex_group.items()
+    }
+    before = _shared_handles(target, samples)
+    cert = separate_element(target, u0, gens, g, seed=0)
+    back = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+    read = _shared_handles(back.target, samples)
+    assert verify_certificate(back).ok and crosscheck(back).ok
+    separate_element(back.target, u0, back.generators, back.element, seed=0)
+    assert _shared_handles(target, samples) == before
+    assert _shared_handles(back.target, samples) == read
+
