@@ -235,17 +235,33 @@ class Word:
                 )
             verts.append(iota[back])
         oracles = self.gog.vertex_group  # every vertex of the walk has one
-        for i, (x, v) in enumerate(zip(self.groups, verts)):
-            try:
+        try:
+            for x, v in zip(self.groups, verts):
                 oracles[v].check(x)
-            except ForeignElement as exc:
-                raise ElementOutOfGroup(f"letter {i} at vertex {v!r}: {exc}") from exc
+        except ForeignElement:  # walk again to name the letter
+            for i, (x, v) in enumerate(zip(self.groups, verts)):
+                try:
+                    oracles[v].check(x)
+                except ForeignElement as exc:
+                    raise ElementOutOfGroup(f"letter {i} at vertex {v!r}: {exc}") from exc
         return self
 
     def reduce(self) -> "Word":
-        """Delete e 1 ~e subwords until none remain (confluent)."""
+        """Delete e 1 ~e subwords until none remain (confluent); a word
+        with none is its own reduction."""
         gog = self.gog
         iota, rev = gog.graph._iota, gog.graph._rev
+        oracles, groups, last = gog.vertex_group, self.groups, None
+        for k, e in enumerate(self.edges):
+            back = rev.get(e)
+            if back is None:
+                raise GogsepError(f"unknown edge {e!r}")
+            # letter k sits between the edge before e and e, at iota(e)
+            if last == back and oracles[iota[e]].is_identity(groups[k]):
+                break
+            last = e
+        else:
+            return self
         groups = [self.groups[0]]
         edges: list[str] = []
         verts = [self.start]

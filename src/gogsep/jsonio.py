@@ -66,10 +66,8 @@ def _convention(doc, path) -> str:
 
 
 def _edge_record(e, epath, vertices, ids):
-    """(id, from, to) of an edge record whose endpoints lie in ``vertices``.
-
-    The id must be new to ``ids``, the set of ids read so far, and joins it.
-    """
+    """(id, from, to) of an edge record whose endpoints lie in ``vertices``;
+    the id must be new to ``ids``, the edges read so far."""
     if not isinstance(e, dict):
         raise SchemaError(epath, "edge must be an object")
     eid = _expect(e, "id", str, epath)
@@ -81,7 +79,6 @@ def _edge_record(e, epath, vertices, ids):
     to = _expect(e, "to", str, epath)
     if frm not in vertices or to not in vertices:
         raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
-    ids.add(eid)
     return eid, frm, to
 
 
@@ -119,9 +116,8 @@ def gog_from_json(doc, path="$", max_order=64) -> GraphOfGroups:
         oracles[v] = oracle_from_json(
             vertices[v], path=f"{path}.vertices.{v}", max_order=max_order
         )
-    ids = set()
     for i, e in enumerate(_expect(doc, "edges", list, path)):
-        graph.add_edge(*_edge_record(e, f"{path}.edges[{i}]", oracles, ids))
+        graph.add_edge(*_edge_record(e, f"{path}.edges[{i}]", oracles, graph._iota))
     base = _expect(doc, "base", str, path, optional=True)
     if base is not None and base not in oracles:
         raise SchemaError(f"{path}.base", f"unknown vertex {base!r}")
@@ -150,27 +146,30 @@ def word_from_json(gog: GraphOfGroups, doc, path="$") -> Word:
         raise SchemaError(path, f"unknown start vertex {start!r}")
     if len(flat) % 2 != 1:
         raise SchemaError(path, "word must alternate element, edge, element")
+    # The edges first, up to the first faulty one; then the letters at the
+    # vertices that chain fixed, so the least faulty position is reported.
     iota, rev = gog.graph._iota, gog.graph._rev
-    groups = []
-    edges = []
-    v = start
-    for i, item in enumerate(flat):
-        if i % 2 == 0:
-            try:
-                groups.append(gog.group_at(v).parse_element(item))
-            except ForeignElement as exc:
-                raise SchemaError(f"{path}[{i}]", str(exc)) from exc
-        else:
-            back = rev.get(item) if isinstance(item, str) else None
-            if back is None:
-                raise SchemaError(f"{path}[{i}]", f"unknown edge {item!r}")
-            if iota[item] != v:
-                raise SchemaError(
-                    f"{path}[{i}]", f"edge {item!r} does not start at {v!r}"
-                )
-            edges.append(item)
-            v = iota[back]
-    return Word(gog, start, tuple(groups), tuple(edges))
+    edges = tuple(flat[1::2])
+    v, verts, fault = start, [start], None
+    for item in edges:
+        back = rev.get(item) if isinstance(item, str) else None
+        if back is None:
+            fault = f"unknown edge {item!r}"
+            break
+        if iota[item] != v:
+            fault = f"edge {item!r} does not start at {v!r}"
+            break
+        v = iota[back]
+        verts.append(v)
+    oracles, groups = gog.vertex_group, []
+    try:
+        for item, v in zip(flat[0::2], verts):
+            groups.append(oracles[v].parse_element(item))
+    except ForeignElement as exc:  # at letter len(groups)
+        raise SchemaError(f"{path}[{2 * len(groups)}]", str(exc)) from exc
+    if fault is not None:
+        raise SchemaError(f"{path}[{2 * len(verts) - 1}]", fault)
+    return Word(gog, start, tuple(groups), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -218,56 +217,90 @@ def _domain_to_json(m: DecoratedMorphism, convention: str) -> dict:
 def _domain_from_json(
     target: GraphOfGroups, doc, convention: str, path: str
 ) -> DecoratedMorphism:
-    """The morphism a domain block describes, built with ``_Working``: the
-    field checks below establish every fact ``validate()`` tests.
+    """The morphism a domain block describes, written into ``_Working``'s
+    tables in one pass: the field checks below establish every fact
+    ``validate()`` tests.  Each field is read with ``dict.get`` and a type
+    test; ``_expect`` runs, and a path is built, only to raise.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "domain must be an object")
     verts = _expect(doc, "vertices", dict, path)
     if not verts:
         raise SchemaError(f"{path}.vertices", "needs at least one vertex")
+    groups, t_iota, t_rev = target.vertex_group, target.graph._iota, target.graph._rev
     w = _Working(target)
+    out, iota, rev, vertex_map = w.out, w.iota, w.rev, w.vertex_map
     for v, spec in verts.items():
         if not isinstance(v, str) or not v:
             raise SchemaError(f"{path}.vertices", f"bad vertex id {v!r}")
-        vpath = f"{path}.vertices.{v}"
         if not isinstance(spec, dict):
-            raise SchemaError(vpath, "vertex must be an object")
-        u = _expect(spec, "to", str, vpath)
-        if not target.graph.has_vertex(u):
-            raise SchemaError(f"{vpath}.to", f"unknown target vertex {u!r}")
-        oracle = target.group_at(u)
+            raise SchemaError(f"{path}.vertices.{v}", "vertex must be an object")
+        u, items = spec.get("to"), spec.get("subgroup")
+        if not isinstance(u, str):
+            _expect(spec, "to", str, f"{path}.vertices.{v}")
+        oracle = groups.get(u)
+        if oracle is None:
+            raise SchemaError(f"{path}.vertices.{v}.to", f"unknown target vertex {u!r}")
+        if not isinstance(items, list):
+            _expect(spec, "subgroup", list, f"{path}.vertices.{v}")
         gens = []
-        for i, item in enumerate(_expect(spec, "subgroup", list, vpath)):
+        for i, item in enumerate(items):
             try:
                 gens.append(oracle.parse_element(item))
             except ForeignElement as exc:
-                raise SchemaError(f"{vpath}.subgroup[{i}]", str(exc)) from exc
-        w.add_vertex(v, u, subgroup_generate(oracle, gens))
-    ids = set()
-    for i, e in enumerate(_expect(doc, "edges", list, path)):
-        epath = f"{path}.edges[{i}]"
-        eid, frm, to = _edge_record(e, epath, w.out, ids)
-        onto = _expect(e, "onto", str, epath)
-        if not target.graph.has_edge(onto):
-            raise SchemaError(f"{epath}.onto", f"unknown target edge {onto!r}")
-        if target.graph.iota(onto) != w.vertex_map[frm] or (
-            target.graph.tau(onto) != w.vertex_map[to]
-        ):
+                raise SchemaError(f"{path}.vertices.{v}.subgroup[{i}]", str(exc)) from exc
+        out[v], vertex_map[v] = [], u
+        w.vgroup_image[v] = (
+            subgroup_generate(oracle, gens) if gens else oracle.trivial_subgroup()
+        )
+    edges = doc.get("edges")
+    if not isinstance(edges, list):
+        _expect(doc, "edges", list, path)
+    for i, e in enumerate(edges):
+        if not isinstance(e, dict):
+            raise SchemaError(f"{path}.edges[{i}]", "edge must be an object")
+        eid, frm, to, f = e.get("id"), e.get("from"), e.get("to"), e.get("onto")
+        if not isinstance(eid, str):
+            _expect(e, "id", str, f"{path}.edges[{i}]")
+        if not eid or eid[0] == "~":
+            raise SchemaError(f"{path}.edges[{i}].id", f"bad edge id {eid!r}")
+        if eid in iota:
+            raise SchemaError(f"{path}.edges[{i}].id", f"duplicate edge {eid!r}")
+        if not isinstance(frm, str):
+            _expect(e, "from", str, f"{path}.edges[{i}]")
+        if not isinstance(to, str):
+            _expect(e, "to", str, f"{path}.edges[{i}]")
+        if frm not in out or to not in out:
+            raise SchemaError(f"{path}.edges[{i}]", f"endpoint of {eid!r} is not a vertex")
+        if not isinstance(f, str):
+            _expect(e, "onto", str, f"{path}.edges[{i}]")
+        f_bar = t_rev.get(f)
+        if f_bar is None:
+            raise SchemaError(f"{path}.edges[{i}].onto", f"unknown target edge {f!r}")
+        u, u_bar = t_iota[f], t_iota[f_bar]
+        if u != vertex_map[frm] or u_bar != vertex_map[to]:
             raise SchemaError(
-                f"{epath}.onto", f"{onto!r} does not run under the edge {eid!r}"
+                f"{path}.edges[{i}].onto", f"{f!r} does not run under the edge {eid!r}"
             )
-        o_i, o_t = w.oracle_at(frm), w.oracle_at(to)
+        o_i, o_t = groups[u], groups[u_bar]
+        if "delta" not in e:
+            _expect(e, "delta", None, f"{path}.edges[{i}]")
         try:
-            d = o_i.parse_element(_expect(e, "delta", None, epath))
-            db = o_t.parse_element(_expect(e, "delta_bar", None, epath))
+            d = o_i.parse_element(e["delta"])
+            if "delta_bar" not in e:
+                _expect(e, "delta_bar", None, f"{path}.edges[{i}]")
+            db = o_t.parse_element(e["delta_bar"])
         except ForeignElement as exc:
-            raise SchemaError(f"{epath}.delta", str(exc)) from exc
+            raise SchemaError(f"{path}.edges[{i}].delta", str(exc)) from exc
         if convention == "paper-left":
             d, db = o_i.inv(d), o_t.inv(db)
-        w.add_edge(eid, frm, to, onto, d, db)
+        back = "~" + eid
+        iota[eid], iota[back], rev[eid], rev[back] = frm, to, back, eid
+        out[frm].append(eid)
+        out[to].append(back)
+        w.edge_map[eid], w.edge_map[back], w.delta[eid], w.delta[back] = f, f_bar, d, db
+    for lifts in out.values():
+        lifts.sort()
     w.base = _expect(doc, "base", str, path, optional=True)
-    if w.base is not None and w.base not in w.out:
+    if w.base is not None and w.base not in out:
         raise SchemaError(f"{path}.base", f"unknown vertex {w.base!r}")
     m = w.freeze()
     if not m.domain.graph.is_connected():

@@ -66,12 +66,14 @@ class DecoratedMorphism:
 
     def validate(self):
         dom, groups = self.domain.graph, self.target.vertex_group
+        dom_groups = self.domain.vertex_group
         for v in dom.vertices:
             u = self.vertex_map.get(v)
             if u not in groups:
                 raise GogsepError(f"vertex {v!r} has no valid image")
             oracle = groups[u]
-            if self.domain.group_at(v) is not oracle:
+            if dom_groups.get(v) is not oracle:
+                self.domain.group_at(v)  # names a vertex without an oracle
                 raise GogsepError(
                     f"domain vertex {v!r} must carry the oracle of its image {u!r}"
                 )
@@ -411,16 +413,15 @@ def _lift(m: DecoratedMorphism, g: Word, u0: str, slots) -> LiftOutcome:
     carry = g.groups[0]
     path = []
     for i, f in enumerate(g.edges):
-        handle = m.vgroup_image[v]
-        key = handle.coset_key(carry)
+        coset_key = m.vgroup_image[v].coset_key
+        key = coset_key(carry)
         if slots is not None:
             matches = slots[v].get((f, key), ())
         else:
-            matches = [
-                e
-                for e in out[v]
-                if edge_map[e] == f and handle.coset_key(delta[e]) == key
-            ]
+            matches = []
+            for e in out[v]:
+                if edge_map[e] == f and coset_key(delta[e]) == key:
+                    matches.append(e)
         if not matches:
             return LiftOutcome(
                 case="stuck",

@@ -303,42 +303,35 @@ class FiniteSubgroup(SubgroupHandle):
         for g in generators:
             group.check(g)
         super().__init__(group, generators)
-        closure = {group.identity()}
-        frontier = [group.identity()]
+        table, one = group.table, group.identity()
+        closure = {one}
+        frontier = [one]
         while frontier:
             nxt = []
             for s in frontier:
                 for g in self.generators:
-                    p = group.table[s][g]
+                    p = table[s][g]
                     if p not in closure:
                         closure.add(p)
                         nxt.append(p)
             frontier = nxt
         self.members = frozenset(closure)
-        self._reps = None
+        # The right-coset transversal, identity first, and each element's rep.
+        self._reps, self._rep_of = [], {}
+        for t in [one] + [g for g in group.elements if g != one]:
+            if t not in self._rep_of:
+                self._reps.append(t)
+                for s in closure:
+                    self._rep_of[table[s][t]] = t
 
     def index(self):
         return len(self.group.elements) // len(self.members)
 
-    def _transversal(self):
-        if self._reps is None:
-            order = [self.group.identity()] + [
-                g for g in self.group.elements if g != self.group.identity()
-            ]
-            reps, rep_of = [], {}
-            for t in order:
-                if t not in rep_of:
-                    reps.append(t)
-                    for s in self.members:
-                        rep_of[self.group.table[s][t]] = t
-            self._reps = (reps, rep_of)
-        return self._reps
-
     def coset_reps(self, limit=None):
-        return self._transversal()[0][:limit]
+        return self._reps[:limit]
 
     def coset_key(self, g):
-        return self._transversal()[1][g]
+        return self._rep_of[g]
 
     def _overgroup(self, excluded):
         return self

@@ -21,13 +21,17 @@ from gogsep import (
 from gogsep.completion import DEGREE_CAP
 from gogsep.core import fresh_names
 from gogsep.errors import (
+    EdgeChainBroken,
     ElementOutOfGroup,
     EndpointMismatch,
+    ForeignElement,
     GogsepError,
     InfiniteIndexVertex,
     NotAnImmersion,
+    SchemaError,
     UnboundedEnumeration,
 )
+from gogsep.jsonio import _expect
 from gogsep.morphism import _Working, lifts_by_edge
 from gogsep.oracles import FiniteSubgroup, FreeSubgroup, IntSubgroup, subgroup_generate
 from gogsep.verifier import _enumerate, _group_letter, _presentation
@@ -317,6 +321,169 @@ def reference_wedge(target, u0, gens):
             prev = v
     w.vgroup_image[base] = subgroup_generate(target.group_at(u0), base_letters)
     return w.freeze()
+
+
+def reference_word_from_json(gog, doc, path="$"):
+    """Reference for ``jsonio.word_from_json``: one walk over the flat list,
+    parsing each letter at the vertex reached and checking each edge as it
+    comes, so the first faulty position raises."""
+    if isinstance(doc, dict):
+        start = _expect(doc, "start", str, path)
+        flat = _expect(doc, "word", list, path)
+        path = f"{path}.word"
+    else:
+        raise SchemaError(path, "word must be an object with start and word")
+    if not gog.graph.has_vertex(start):
+        raise SchemaError(path, f"unknown start vertex {start!r}")
+    if len(flat) % 2 != 1:
+        raise SchemaError(path, "word must alternate element, edge, element")
+    iota, rev = gog.graph._iota, gog.graph._rev
+    groups = []
+    edges = []
+    v = start
+    for i, item in enumerate(flat):
+        if i % 2 == 0:
+            try:
+                groups.append(gog.group_at(v).parse_element(item))
+            except ForeignElement as exc:
+                raise SchemaError(f"{path}[{i}]", str(exc)) from exc
+        else:
+            back = rev.get(item) if isinstance(item, str) else None
+            if back is None:
+                raise SchemaError(f"{path}[{i}]", f"unknown edge {item!r}")
+            if iota[item] != v:
+                raise SchemaError(
+                    f"{path}[{i}]", f"edge {item!r} does not start at {v!r}"
+                )
+            edges.append(item)
+            v = iota[back]
+    return Word(gog, start, tuple(groups), tuple(edges))
+
+
+def _reference_edge_record(e, epath, vertices, ids):
+    if not isinstance(e, dict):
+        raise SchemaError(epath, "edge must be an object")
+    eid = _expect(e, "id", str, epath)
+    if not eid or eid.startswith("~"):
+        raise SchemaError(f"{epath}.id", f"bad edge id {eid!r}")
+    if eid in ids:
+        raise SchemaError(f"{epath}.id", f"duplicate edge {eid!r}")
+    frm = _expect(e, "from", str, epath)
+    to = _expect(e, "to", str, epath)
+    if frm not in vertices or to not in vertices:
+        raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
+    ids.add(eid)
+    return eid, frm, to
+
+
+def reference_domain_from_json(target, doc, convention, path):
+    """Reference for ``jsonio._domain_from_json``: each field through
+    ``_expect`` with its path built up front, a fresh handle per vertex,
+    and each edge pair through ``_Working.add_edge``."""
+    if not isinstance(doc, dict):
+        raise SchemaError(path, "domain must be an object")
+    verts = _expect(doc, "vertices", dict, path)
+    if not verts:
+        raise SchemaError(f"{path}.vertices", "needs at least one vertex")
+    w = _Working(target)
+    for v, spec in verts.items():
+        if not isinstance(v, str) or not v:
+            raise SchemaError(f"{path}.vertices", f"bad vertex id {v!r}")
+        vpath = f"{path}.vertices.{v}"
+        if not isinstance(spec, dict):
+            raise SchemaError(vpath, "vertex must be an object")
+        u = _expect(spec, "to", str, vpath)
+        if not target.graph.has_vertex(u):
+            raise SchemaError(f"{vpath}.to", f"unknown target vertex {u!r}")
+        oracle = target.group_at(u)
+        gens = []
+        for i, item in enumerate(_expect(spec, "subgroup", list, vpath)):
+            try:
+                gens.append(oracle.parse_element(item))
+            except ForeignElement as exc:
+                raise SchemaError(f"{vpath}.subgroup[{i}]", str(exc)) from exc
+        w.add_vertex(v, u, subgroup_generate(oracle, gens))
+    ids = set()
+    for i, e in enumerate(_expect(doc, "edges", list, path)):
+        epath = f"{path}.edges[{i}]"
+        eid, frm, to = _reference_edge_record(e, epath, w.out, ids)
+        onto = _expect(e, "onto", str, epath)
+        if not target.graph.has_edge(onto):
+            raise SchemaError(f"{epath}.onto", f"unknown target edge {onto!r}")
+        if target.graph.iota(onto) != w.vertex_map[frm] or (
+            target.graph.tau(onto) != w.vertex_map[to]
+        ):
+            raise SchemaError(
+                f"{epath}.onto", f"{onto!r} does not run under the edge {eid!r}"
+            )
+        o_i, o_t = w.oracle_at(frm), w.oracle_at(to)
+        try:
+            d = o_i.parse_element(_expect(e, "delta", None, epath))
+            db = o_t.parse_element(_expect(e, "delta_bar", None, epath))
+        except ForeignElement as exc:
+            raise SchemaError(f"{epath}.delta", str(exc)) from exc
+        if convention == "paper-left":
+            d, db = o_i.inv(d), o_t.inv(db)
+        w.add_edge(eid, frm, to, onto, d, db)
+    w.base = _expect(doc, "base", str, path, optional=True)
+    if w.base is not None and w.base not in w.out:
+        raise SchemaError(f"{path}.base", f"unknown vertex {w.base!r}")
+    m = w.freeze()
+    if not m.domain.graph.is_connected():
+        raise SchemaError(path, "graph of groups must be connected")
+    return m
+
+
+def reference_reduce(w):
+    """Reference for ``Word.reduce``: one stack pass that pops e 1 ~e
+    wherever it forms, testing the identity where the last kept edge ends."""
+    gog = w.gog
+    iota, rev = gog.graph._iota, gog.graph._rev
+    groups = [w.groups[0]]
+    edges = []
+    verts = [w.start]
+    for e, g in zip(w.edges, w.groups[1:]):
+        back = rev.get(e)
+        if back is None:
+            raise GogsepError(f"unknown edge {e!r}")
+        if (
+            edges
+            and edges[-1] == back
+            and gog.group_at(verts[-1]).is_identity(groups[-1])
+        ):
+            edges.pop()
+            groups.pop()
+            verts.pop()
+            prev = groups.pop()
+            groups.append(gog.group_at(verts[-1]).mul(prev, g))
+        else:
+            edges.append(e)
+            groups.append(g)
+            verts.append(iota[back])
+    return Word(gog, w.start, tuple(groups), tuple(edges))
+
+
+def reference_validate(w):
+    """Reference for ``Word.validate``: the edge chain, then each letter
+    with its index."""
+    g = w.gog.graph
+    if not g.has_vertex(w.start):
+        raise EdgeChainBroken(f"unknown start vertex {w.start!r}")
+    verts = [w.start]
+    for e in w.edges:
+        if not g.has_edge(e):
+            raise EdgeChainBroken(f"unknown edge {e!r}")
+        if g.iota(e) != verts[-1]:
+            raise EdgeChainBroken(
+                f"edge {e!r} leaves {g.iota(e)!r}, expected {verts[-1]!r}"
+            )
+        verts.append(g.tau(e))
+    for i, (x, v) in enumerate(zip(w.groups, verts)):
+        try:
+            w.gog.group_at(v).check(x)
+        except ForeignElement as exc:
+            raise ElementOutOfGroup(f"letter {i} at vertex {v!r}: {exc}") from exc
+    return w
 
 
 def reference_complete(m, seed=None):

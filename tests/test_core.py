@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gogsep import Graph, GraphOfGroups, FiniteGroup, Word, bar
 from gogsep.errors import (
@@ -8,7 +12,16 @@ from gogsep.errors import (
     GogsepError,
 )
 
-from conftest import W, make_pslz
+from conftest import (
+    W,
+    _random_element,
+    make_f2c2,
+    make_pslz,
+    make_z2,
+    reference_reduce,
+    reference_validate,
+)
+from test_golden import _f2z_instance
 
 
 def test_bar_involution():
@@ -125,3 +138,83 @@ def test_word_equality_is_structural():
 def test_as_strings_round_trip(pslz):
     w = W(pslz, "u", "a", "e", "b2", "~e", "a")
     assert w.as_strings() == ["a", "e", "b2", "~e", "a"]
+
+
+# Multi-vertex targets for the word references: PSL(2,Z), F2*C2, Z*Z and
+# F2*Z, where a backtrack's middle letter lives in another group than the
+# one at the backtrack's start.
+WORD_TARGETS = {
+    "f2c2": make_f2c2,
+    "f2z": lambda: _f2z_instance()[0],
+    "pslz": make_pslz,
+    "z2": make_z2,
+}
+
+
+def _walk(gog, rng, steps):
+    """A random word that often turns back along its last edge with an
+    identity letter between, so reductions nest and cascade."""
+    graph = gog.graph
+    start = v = rng.choice(graph.vertices)
+    letters, edges = [], []
+    for _ in range(steps):
+        oracle = gog.group_at(v)
+        one = rng.random() < 0.5
+        letters.append(oracle.identity() if one else _random_element(oracle, rng, 2))
+        if edges and rng.random() < 0.5:
+            e = graph._rev[edges[-1]]
+        else:
+            e = rng.choice(graph.edges_at(v))
+        edges.append(e)
+        v = graph.tau(e)
+    letters.append(_random_element(gog.group_at(v), rng, 2))
+    return Word(gog, start, tuple(letters), tuple(edges))
+
+
+def _broken(gog, w, rng, how):
+    """w with one edge, letter or the start replaced by an arbitrary one."""
+    groups, edges, start = list(w.groups), list(w.edges), w.start
+    if how == "edge" and edges:
+        edges[rng.randrange(len(edges))] = rng.choice(gog.graph.directed_edges + ["zz"])
+    elif how == "letter":
+        other = gog.group_at(rng.choice(gog.graph.vertices))
+        groups[rng.randrange(len(groups))] = _random_element(other, rng, 2)
+    elif how == "start":
+        start = rng.choice(gog.graph.vertices + ["zz"])
+    return Word(gog, start, tuple(groups), tuple(edges))
+
+
+def _outcome(fn, w):
+    try:
+        return "ok", fn(w).key()
+    except Exception as exc:  # both must fail alike
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(WORD_TARGETS)),
+    st.integers(0, 10**6),
+    st.integers(0, 8),
+    st.sampled_from(["none", "edge", "letter", "start"]),
+)
+def test_reduce_and_validate_match_the_references(name, seed, steps, how):
+    gog = WORD_TARGETS[name]()
+    rng = random.Random(seed)
+    w = _broken(gog, _walk(gog, rng, steps), rng, how)
+    assert _outcome(Word.validate, w) == _outcome(reference_validate, w)
+    assert _outcome(Word.reduce, w) == _outcome(reference_reduce, w)
+    if how == "none":
+        r = w.reduce()
+        assert (r is w) == (r.key() == w.key())
+
+
+def test_a_backtrack_is_deleted_by_the_identity_where_it_turns():
+    """e 1 ~e with e: x -> u turns at u, whose C2 spells its identity "1";
+    the identity of F2 at x is the empty word."""
+    gog = make_f2c2()
+    assert W(gog, "x", "x1", "e", "1", "~e", "x2").reduce() == W(gog, "x", "x1.x2")
+    w = W(gog, "x", "x1", "e", "a", "~e", "x2")
+    assert w.reduce() is w
+    w = W(gog, "u", "a", "~e", "1", "e", "a")  # turns at x
+    assert w.reduce() == W(gog, "u", "1")

@@ -17,12 +17,19 @@ from gogsep import (
     word_from_json,
     word_to_json,
 )
-from gogsep.errors import SchemaError
+from gogsep.errors import GogsepError, SchemaError
 from gogsep.jsonio import dumps
 from gogsep.morphism import DecoratedMorphism
 from gogsep.oracles import FreeSubgroup, _Automaton
 
-from conftest import INSTANCES, W, assert_well_built, count_calls
+from conftest import (
+    INSTANCES,
+    W,
+    assert_well_built,
+    count_calls,
+    handles_built,
+    make_pslz,
+)
 from test_golden import GOLDEN, _f2z_instance, _pslz_instance
 
 
@@ -316,3 +323,110 @@ def test_golden_documents_read_back_well_built(name):
 
 def test_dumps_is_stable():
     assert dumps({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+def _target_doc():
+    return gog_to_json(make_pslz())
+
+
+def _gog_with(mutate):
+    doc = _target_doc()
+    mutate(doc)
+    return lambda: gog_from_json(doc)
+
+
+def _cert_with(mutate):
+    doc = _pslz_cert_doc()
+    mutate(doc)
+    return lambda: certificate_from_json(doc)
+
+
+# One document per reader raise that no test above reaches, with the path
+# and message its SchemaError names.
+DOCUMENT_REJECTS = {
+    "target not an object": (
+        lambda: gog_from_json([]), "$", "graph of groups must be an object"
+    ),
+    "empty target vertex id": (
+        _gog_with(lambda d: d["vertices"].update({"": {"kind": "integer"}})),
+        "$.vertices", "bad vertex id ''",
+    ),
+    "target edge not an object": (
+        _gog_with(lambda d: d["edges"].append(5)), "$.edges[1]", "edge must be an object"
+    ),
+    "reversed target edge id": (
+        _gog_with(lambda d: d["edges"][0].update(id="~e")),
+        "$.edges[0].id", "bad edge id '~e'",
+    ),
+    "duplicate target edge id": (
+        _gog_with(lambda d: d["edges"].append(dict(d["edges"][0]))),
+        "$.edges[1].id", "duplicate edge 'e'",
+    ),
+    "unknown target base": (
+        _gog_with(lambda d: d.update(base="zz")), "$.base", "unknown vertex 'zz'"
+    ),
+    "disconnected target": (
+        _gog_with(lambda d: d.update(edges=[])), "$", "graph of groups must be connected"
+    ),
+    "morphism not an object": (
+        lambda: morphism_from_json([]), "$", "morphism must be an object"
+    ),
+    "certificate not an object": (
+        lambda: certificate_from_json([]), "$", "certificate must be an object"
+    ),
+    "unknown certificate base": (
+        _cert_with(lambda d: d.update(base="zz")), "$.base", "unknown vertex 'zz'"
+    ),
+    "generator not an object": (
+        _cert_with(lambda d: d["generators"].__setitem__(0, "a")),
+        "$.generators[0]", "word must be an object with start and word",
+    ),
+    "unknown start vertex": (
+        _cert_with(lambda d: d["generators"][0].update(start="zz")),
+        "$.generators[0].word", "unknown start vertex 'zz'",
+    ),
+    "cover without vertices": (
+        _cert_with(lambda d: d["cover"].update(vertices={})),
+        "$.cover.vertices", "needs at least one vertex",
+    ),
+    "cover vertex not an object": (
+        _cert_with(lambda d: d["cover"]["vertices"].update(q1=[])),
+        "$.cover.vertices.q1", "vertex must be an object",
+    ),
+    "cover edge not an object": (
+        _cert_with(lambda d: d["cover"]["edges"].__setitem__(0, "c1_1")),
+        "$.cover.edges[0]", "edge must be an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("fact", sorted(DOCUMENT_REJECTS))
+def test_reader_rejects_each_malformed_document(fact):
+    read, path, message = DOCUMENT_REJECTS[fact]
+    with pytest.raises(SchemaError) as err:
+        read()
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_writers_reject_an_unknown_convention():
+    cert = separate_element(*_pslz_instance(), seed=0)
+    for write, data in ((certificate_to_json, cert), (morphism_to_json, cert.cover)):
+        with pytest.raises(GogsepError, match="^unknown convention 'sideways'$"):
+            write(data, convention="sideways")
+
+
+def test_reading_a_certificate_shares_the_trivial_handles(monkeypatch):
+    """A cover vertex with an empty subgroup list gets its oracle's shared
+    trivial handle, so reading builds at most one handle per target vertex
+    and one per listed subgroup."""
+    unlisted = 0
+    for name in ("f2z", "pslz", "rose2"):
+        cert = separate_element(*GOLDEN[name][0](), seed=0)
+        doc = json.loads(dumps(certificate_to_json(cert)))
+        listed = sum(1 for v in doc["cover"]["vertices"].values() if v["subgroup"])
+        unlisted += len(doc["cover"]["vertices"]) - listed
+        built = handles_built(monkeypatch)
+        back = certificate_from_json(doc)
+        assert built() <= len(back.target.vertex_group) + listed
+        monkeypatch.undo()
+    assert unlisted > 3  # the bound is below one handle per cover vertex

@@ -17,8 +17,9 @@ from gogsep.errors import (
     EndpointMismatch,
     GogsepError,
     InfiniteIndexVertex,
+    NotAnImmersion,
 )
-from gogsep.morphism import MISSING_SHOWN
+from gogsep.morphism import MISSING_SHOWN, _coset_slots, _lift
 
 from conftest import W, identity_morphism, lifts_at, remake, subgroup_generators
 
@@ -336,3 +337,37 @@ def test_subgroup_generators_round_trip_through_membership(pslz, rng):
         assert subgroup_member(m, "v0", g)
     for g in gens:
         assert subgroup_member(m, "v0", g)
+
+
+def two_lifts_in_one_coset(pslz):
+    """v over u with the trivial subgroup and two lifts of e, c1 and c2,
+    both with delta 1: they share the coset S*1, so this is no immersion."""
+    g = Graph()
+    for v in ("v", "x1", "x2"):
+        g.add_vertex(v)
+    g.add_edge("c1", "v", "x1")
+    g.add_edge("c2", "v", "x2")
+    c2, c3 = pslz.group_at("u"), pslz.group_at("w")
+    return DecoratedMorphism(
+        GraphOfGroups(g, {"v": c2, "x1": c3, "x2": c3}, base="v"),
+        pslz,
+        vertex_map={"v": "u", "x1": "w", "x2": "w"},
+        edge_map={"c1": "e", "~c1": "~e", "c2": "e", "~c2": "~e"},
+        vgroup_image={"v": c2.trivial_subgroup(), "x1": c3.full_subgroup(),
+                      "x2": c3.full_subgroup()},
+        delta=dict.fromkeys(["c1", "~c1", "c2", "~c2"], "1"),
+    )
+
+
+def test_a_lift_refuses_two_lifts_in_one_coset(pslz):
+    """Both ways of finding a step's lifts, the out-list scan and a keyed
+    slot table, name the two lifts that share the carry's coset."""
+    m = two_lifts_in_one_coset(pslz)
+    assert not check_immersion(m).ok
+    g = W(pslz, "u", "1", "e", "b", "~e", "1")
+    message = "multiple lifts of 'e' at 'v' share a coset: ['c1', 'c2']"
+    with pytest.raises(NotAnImmersion) as scan:
+        lift_loop(m, g, "v")
+    with pytest.raises(NotAnImmersion) as slots:
+        _lift(m, g, "v", _coset_slots(m))
+    assert str(scan.value) == str(slots.value) == message

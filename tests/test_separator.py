@@ -8,8 +8,10 @@ import pytest
 import gogsep
 from gogsep import (
     DecoratedMorphism,
+    FiniteGroup,
     Graph,
     GraphOfGroups,
+    SeparationCertificate,
     Word,
     attach_separating_path,
     certificate_from_json,
@@ -30,6 +32,7 @@ from gogsep import (
 from gogsep.errors import AlreadyMember, EdgeChainBroken, GogsepError
 from gogsep.jsonio import dumps
 from gogsep.morphism import _Working
+from gogsep.oracles import FiniteSubgroup
 from gogsep.verifier import crosscheck
 
 from conftest import (
@@ -450,3 +453,39 @@ def test_shared_handles_stay_intact(name):
     assert _shared_handles(target, samples) == before
     assert _shared_handles(back.target, samples) == read
 
+
+
+class _UnderCounted(FiniteSubgroup):
+    """A finite handle that reports index 1 whatever its cosets."""
+
+    def index(self):
+        return 1
+
+
+def test_verify_reports_a_lift_stuck_in_a_passing_cover():
+    """A handle that under-reports its index lets a one-vertex morphism
+    pass the cover check with a coset no lift leaves; the element step
+    must then say that its lift got stuck."""
+    c2 = FiniteGroup.cyclic(2, "a")
+    g = Graph()
+    g.add_vertex("o")
+    g.add_edge("p", "o", "o")
+    target = GraphOfGroups(g, {"o": c2}, base="o")
+    d = Graph()
+    d.add_vertex("v")
+    d.add_edge("n", "v", "v")
+    cover = DecoratedMorphism(
+        GraphOfGroups(d, {"v": c2}, base="v"),
+        target,
+        vertex_map={"v": "o"},
+        edge_map={"n": "p", "~n": "~p"},
+        vgroup_image={"v": _UnderCounted(c2, [])},
+        delta={"n": "1", "~n": "1"},
+    )
+    element = W(target, "o", "a", "p", "1")
+    cert = SeparationCertificate(target, "o", [], element, cover, "v", 1)
+    report = verify_certificate(cert)
+    assert [t["ok"] for t in report.transcript] == [True, True, True, True, False]
+    stuck = report.transcript[-1]["detail"]
+    assert stuck == "element lift got stuck in a cover (not a cover?)"
+    assert not report.ok
