@@ -325,12 +325,8 @@ def test_dumps_is_stable():
     assert dumps({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
 
 
-def _target_doc():
-    return gog_to_json(make_pslz())
-
-
 def _gog_with(mutate):
-    doc = _target_doc()
+    doc = gog_to_json(make_pslz())
     mutate(doc)
     return lambda: gog_from_json(doc)
 

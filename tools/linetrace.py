@@ -12,8 +12,8 @@ first: lines that run at import are counted only while tracing is on.
 
 Without ``--raises`` it lists every unreached executable line and exits
 with pytest's code.  With ``--raises`` it lists only the ``raise``
-statements never reached and exits 1 if there is one (or if pytest
-failed), so a CI step can insist that every error path runs in a test.
+statements never reached and exits 1 if there is one (else with pytest's
+code), so a CI step can insist that every error path runs in a test.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ import ast
 import os
 import sys
 import threading
+from pathlib import Path
 
 
 def executable_lines(path):
-    code = compile(open(path, encoding="utf-8").read(), path, "exec")
+    code = compile(Path(path).read_text(encoding="utf-8"), path, "exec")
     lines, stack = set(), [code]
     while stack:
         c = stack.pop()
@@ -35,7 +36,7 @@ def executable_lines(path):
 
 
 def raise_lines(path):
-    tree = ast.parse(open(path, encoding="utf-8").read(), path)
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"), path)
     return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
 
 
@@ -91,7 +92,7 @@ def main(argv=None):
         missed = sorted(wanted - hits[path])
         missed_any = missed_any or bool(missed)
         print(f"{name}: {len(missed)} of {len(wanted)} {what} unreached")
-        source = open(path, encoding="utf-8").read().splitlines()
+        source = Path(path).read_text(encoding="utf-8").splitlines()
         for line in missed:
             print(f"  {line}: {source[line - 1].strip()}")
     return 1 if only_raises and missed_any else code
