@@ -14,7 +14,7 @@ import json
 from .core import Graph, GraphOfGroups, Word
 from .errors import ForeignElement, GogsepError, SchemaError
 from .morphism import DecoratedMorphism, _Working
-from .oracles import oracle_from_json, subgroup_generate
+from .oracles import oracle_from_json
 from .separator import SeparationCertificate
 
 __all__ = [
@@ -228,6 +228,7 @@ def _domain_from_json(
     groups, t_iota, t_rev = target.vertex_group, target.graph._iota, target.graph._rev
     w = _Working(target)
     out, iota, rev, vertex_map = w.out, w.iota, w.rev, w.vertex_map
+    shared = {}  # (target vertex, *subgroup strings) -> the handle read from them
     for v, spec in verts.items():
         if not isinstance(v, str) or not v:
             raise SchemaError(f"{path}.vertices", f"bad vertex id {v!r}")
@@ -241,16 +242,27 @@ def _domain_from_json(
             raise SchemaError(f"{path}.vertices.{v}.to", f"unknown target vertex {u!r}")
         if not isinstance(items, list):
             _expect(spec, "subgroup", list, f"{path}.vertices.{v}")
-        gens = []
-        for i, item in enumerate(items):
-            try:
-                gens.append(oracle.parse_element(item))
-            except ForeignElement as exc:
-                raise SchemaError(f"{path}.vertices.{v}.subgroup[{i}]", str(exc)) from exc
+        if not items:
+            handle = oracle.trivial_subgroup()
+        else:
+            # A list of strings read before shares its handle; any other
+            # list is read afresh, so that it raises as it did the first time.
+            key = (u, *items) if all(type(x) is str for x in items) else None
+            handle = shared.get(key)
+            if handle is None:
+                gens = []
+                for i, item in enumerate(items):
+                    try:
+                        gens.append(oracle.parse_element(item))
+                    except ForeignElement as exc:
+                        raise SchemaError(
+                            f"{path}.vertices.{v}.subgroup[{i}]", str(exc)
+                        ) from exc
+                handle = oracle._subgroup_of_parsed(gens)
+                if key is not None:
+                    shared[key] = handle
         out[v], vertex_map[v] = [], u
-        w.vgroup_image[v] = (
-            subgroup_generate(oracle, gens) if gens else oracle.trivial_subgroup()
-        )
+        w.vgroup_image[v] = handle
     edges = doc.get("edges")
     if not isinstance(edges, list):
         _expect(doc, "edges", list, path)

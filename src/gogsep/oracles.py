@@ -20,11 +20,15 @@ A handle never changes once built (only its private caches fill), so one
 may be shared: each oracle builds its trivial and full handles once.
 
 Element values are checked where they enter: ``parse_element`` (which
-the JSON readers call on every delta), ``Word.validate`` in the public
-entry points, the public ``DecoratedMorphism(...)`` constructor, the
-subgroup constructors, ``member`` and ``format_element``.  Arithmetic
-(``mul``, ``inv``, ``is_identity``) and ``coset_key`` take values checked
-there, or computed from such values, and do not check them again.
+the JSON readers call on every delta and subgroup word), ``Word.validate``
+in the public entry points, the public ``DecoratedMorphism(...)``
+constructor, the subgroup constructors, ``member`` and
+``format_element``.  The reader's subgroup words are checked by
+``parse_element`` only: it builds their handle through
+``_subgroup_of_parsed``, which a free group answers without checking
+them again.  Arithmetic (``mul``, ``inv``, ``is_identity``) and
+``coset_key`` take values checked there, or computed from such values,
+and do not check them again.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ class VertexGroup:
 
     def subgroup(self, generators) -> "SubgroupHandle":
         raise NotImplementedError
+
+    def _subgroup_of_parsed(self, generators) -> "SubgroupHandle":
+        """``subgroup`` of values ``parse_element`` returned; a kind may
+        take them without checking them again."""
+        return self.subgroup(generators)
 
     def trivial_subgroup(self) -> "SubgroupHandle":
         if self._trivial is None:
@@ -474,8 +483,10 @@ class _Automaton:
     """Mutable folding automaton over letters +-1..+-rank, base state 0.
 
     Transitions are stored in both directions: (s, l) -> t always comes
-    with (t, -l) -> s.  Folding is union-find driven; stale targets are
-    resolved through find() and squeezed out by normalized().
+    with (t, -l) -> s, and every transition of a live state points at a
+    live state.  Merges wait in ``pending``; only those pairs go through
+    find(), and fold() clears them.  The smaller state survives a merge, so
+    state 0 stays the base.
     """
 
     def __init__(self, rank):
@@ -497,20 +508,20 @@ class _Automaton:
             self.parent[s], s = root, self.parent[s]
         return root
 
-    def _half(self, s, l, t):
-        s, t = self.find(s), self.find(t)
-        cur = self.adj[s].get(l)
-        if cur is None:
-            self.adj[s][l] = t
-        else:
-            cur = self.find(cur)
-            self.adj[s][l] = cur
-            if cur != t:
-                self.pending.append((cur, t))
-
-    def connect(self, s, l, t):
-        self._half(s, l, t)
-        self._half(t, -l, s)
+    def _link(self, s, l, t):
+        """Add s -l-> t between live states, or queue the merge it forces
+        when s already reads l or t already reads -l."""
+        u = self.adj[s].get(l)
+        if u is not None:
+            if u != t:
+                self.pending.append((u, t))
+            return
+        u = self.adj[t].get(-l)
+        if u is not None:  # not s: then s would read l
+            self.pending.append((u, s))
+            return
+        self.adj[s][l] = t
+        self.adj[t][-l] = s
 
     def add_loop(self, word):
         """Fold the loop ``word`` at the base into the folded automaton.
@@ -520,26 +531,32 @@ class _Automaton:
         states.  When the reads meet, their end states are merged.  This is
         the fold of a fresh path for word with its read ends already
         folded, so the folded result is the same, and a word the automaton
-        already reads as a loop makes no state at all.
+        already reads as a loop makes no state at all.  Only the last step
+        can clash, where the path closes at the state it left by the
+        inverse letter; a reduced word never turns back at a fresh state.
         """
         self.fold()
+        adj = self.adj
         i, j = 0, len(word)
         s = r = 0
-        while i < j and (t := self.adj[s].get(word[i])) is not None:
-            s, i = self.find(t), i + 1
-        while i < j and (t := self.adj[r].get(-word[j - 1])) is not None:
-            r, j = self.find(t), j - 1
+        while i < j and (t := adj[s].get(word[i])) is not None:
+            s, i = t, i + 1
+        while i < j and (t := adj[r].get(-word[j - 1])) is not None:
+            r, j = t, j - 1
         if i == j:
             if s != r:
                 self.pending.append((s, r))
             return
         for l in word[i:j - 1]:
             t = self.new_state()
-            self.connect(s, l, t)
+            adj[s][l], adj[t][-l] = t, s
             s = t
-        self.connect(s, word[j - 1], r)
+        self._link(s, word[j - 1], r)
 
     def fold(self):
+        """Merge the pending pairs.  The back-edges into the larger state
+        go first; then its transitions are linked again at the smaller."""
+        adj = self.adj
         while self.pending:
             a, b = self.pending.pop()
             a, b = self.find(a), self.find(b)
@@ -548,23 +565,24 @@ class _Automaton:
             if b < a:
                 a, b = b, a
             self.parent[b] = a
-            moved, self.adj[b] = self.adj[b], {}
+            moved, adj[b] = adj[b], {}
             for l, t in moved.items():
-                self._half(a, l, self.find(t))
+                if t != b:
+                    del adj[t][-l]
+            for l, t in moved.items():
+                self._link(a, l, a if t == b else t)
 
-    def normalized(self):
-        """(base, rows): each state's row {letter: state}, union-find applied.
+    def core_rows(self):
+        """The folded core's rows, numbered by BFS from the base.
 
-        Merged states have empty rows, so only live states have transitions.
         Every live state is reachable from the base: each was made on a
-        path from state 0, and merges keep that.  The result is already
-        the core: a live state other than the base lies inside the read
-        of some reduced generator, which never turns back, so it has two
-        distinct transitions.
+        path from state 0, and merges keep that.  The folded automaton is
+        already the core: a live state other than the base lies inside the
+        read of some reduced generator, which never turns back, so it has
+        two distinct transitions.
         """
         self.fold()
-        rows = [{l: self.find(t) for l, t in row.items()} for row in self.adj]
-        return self.find(0), rows
+        return _relabel_bfs(0, self.adj, self.rank)
 
 
 def _letters(rank):
@@ -580,8 +598,9 @@ def _relabel_bfs(base, rows, rank):
     """
     order = [base]
     number = {base: 0}
+    letters = tuple(_letters(rank))
     for s in order:  # the list grows as the search finds states
-        for l in _letters(rank):
+        for l in letters:
             t = rows[s].get(l)
             if t is not None and t not in number:
                 number[t] = len(order)
@@ -627,6 +646,9 @@ class FreeGroup(VertexGroup):
     def subgroup(self, generators):
         return FreeSubgroup(self, generators)
 
+    def _subgroup_of_parsed(self, generators):
+        return FreeSubgroup(self, generators, _checked=True)
+
     def _full_subgroup(self):
         return FreeSubgroup(self, [(k,) for k in range(1, self.rank + 1)])
 
@@ -637,10 +659,15 @@ class FreeGroup(VertexGroup):
         if t == "1":
             return ()
         table = self._syllables
-        word = tuple(table.get(p) or self._syllable(p, text) for p in t.split("."))
-        for a, b in zip(word, word[1:]):
-            if a == -b:
+        try:
+            word = tuple(map(table.__getitem__, t.split(".")))
+        except KeyError:
+            word = tuple(table.get(p) or self._syllable(p, text) for p in t.split("."))
+        prev = 0
+        for l in word:
+            if l == -prev:
                 raise ForeignElement(f"{text!r} is not reduced")
+            prev = l
         return word
 
     def _syllable(self, part, text):
@@ -674,26 +701,27 @@ class FreeSubgroup(SubgroupHandle):
     """Finitely generated subgroup as a folded core automaton.
 
     Folding the generators' loops gives the core with no trim (see
-    ``_Automaton.normalized``).  ``rows[s]`` maps each letter read at state
+    ``_Automaton.core_rows``).  ``rows[s]`` maps each letter read at state
     s to its target, canonically numbered (BFS from the base in letter
     order), so equal subgroups carry identical rows regardless of the
     generating set they came from.  The rows never change, so the index is
     fixed when the handle is built.
     """
 
-    def __init__(self, group, generators, _rows=None):
+    def __init__(self, group, generators, _rows=None, _checked=False):
         gens = []
         for g in generators:
-            group.check(g)
+            if not _checked:
+                group.check(g)
             if g:
                 gens.append(g)
-        super().__init__(group, tuple(gens))
+        super().__init__(group, gens)
         self._spanning = None
         if _rows is None:
             auto = _Automaton(group.rank)
-            for g in gens:
+            for g in self.generators:
                 auto.add_loop(g)
-            _rows = _relabel_bfs(*auto.normalized(), group.rank)
+            _rows = auto.core_rows()
         self.rows = _rows
         complete = all(len(row) == 2 * group.rank for row in _rows)
         self._index = len(_rows) if complete else None

@@ -16,6 +16,7 @@ from gogsep import (
     LiftOutcome,
     Word,
     bar,
+    gog_from_json,
     word_from_json,
 )
 from gogsep.completion import DEGREE_CAP
@@ -121,6 +122,20 @@ def handles_built(monkeypatch):
     counts = [count_calls(monkeypatch, cls, "__init__")
               for cls in (FiniteSubgroup, IntSubgroup, FreeSubgroup)]
     return lambda: sum(c["__init__"] for c in counts)
+
+
+def perfbench_instance(workload, seed, size, index):
+    """(target, base, generators, element) of one benchmark instance, made
+    by ``perfbench/workloads.py`` and read through the JSON readers."""
+    root = str(INSTANCES.parent)
+    if root not in sys.path:
+        sys.path.append(root)
+    from perfbench.workloads import make_instance
+
+    inst = make_instance(workload, seed, size, index)
+    target = gog_from_json(inst.target)
+    gens = [word_from_json(target, d) for d in inst.generators]
+    return target, inst.base, gens, word_from_json(target, inst.element)
 
 
 def make_pslz():

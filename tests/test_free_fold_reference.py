@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gogsep import FreeGroup
 from gogsep.errors import InfiniteIndex
+from gogsep.oracles import _Automaton
 
 
 def _letters(rank):
@@ -124,6 +125,33 @@ def test_free_subgroup_core_matches_a_naive_fold(case):
     assert all(len(row) >= 2 for row in h.rows[1:])
     trans = {(s, l): t for s, row in enumerate(h.rows) for l, t in row.items()}
     assert (len(h.rows), trans) == reference_core(rank, gens)
+
+
+def assert_transitions_live(auto):
+    """Every transition of a live state (a union-find root) points at a
+    live state and has its reverse stored; a merged state reads nothing."""
+    live = {s for s, p in enumerate(auto.parent) if p == s}
+    for s, row in enumerate(auto.adj):
+        assert s in live or not row
+        for l, t in row.items():
+            assert t in live and auto.adj[t].get(-l) == s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(generating_sets())
+@example((2, [(2, 1, -2)]))  # the path closes at the base it left by x2
+@example((1, [(1, 1), (1,)]))
+def test_folding_keeps_every_transition_live(case):
+    rank, gens = case
+    auto = _Automaton(rank)
+    for g in gens:
+        if g:
+            auto.add_loop(g)
+            assert_transitions_live(auto)
+    auto.fold()
+    assert not auto.pending
+    assert_transitions_live(auto)
+    assert auto.core_rows() == FreeGroup(rank).subgroup(gens).rows
 
 
 def reference_trace(trans, g):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from gogsep import (
+    FreeGroup,
     certificate_from_json,
     certificate_to_json,
     complete_to_cover,
@@ -29,6 +30,7 @@ from conftest import (
     count_calls,
     handles_built,
     make_pslz,
+    perfbench_instance,
 )
 from test_golden import GOLDEN, _f2z_instance, _pslz_instance
 
@@ -426,3 +428,48 @@ def test_reading_a_certificate_shares_the_trivial_handles(monkeypatch):
         assert built() <= len(back.target.vertex_group) + listed
         monkeypatch.undo()
     assert unlisted > 3  # the bound is below one handle per cover vertex
+
+
+def _f2z_cert_docs():
+    """The golden f2z certificate and a benchmark f2z top-rung one (269
+    cover vertices, 239 of them carrying ["1"] over y), as parsed JSON."""
+    for instance, seed in ((_f2z_instance(), 0), (perfbench_instance("f2z-mixed", 1, 4, 0), 1)):
+        cert = separate_element(*instance, seed=seed)
+        yield json.loads(dumps(certificate_to_json(cert)))
+
+
+def test_reading_free_vertex_subgroups_checks_each_word_once(monkeypatch):
+    """``parse_element`` checks each subgroup word as it reads it; the
+    handle built from the parsed words does not check them again."""
+    for doc in _f2z_cert_docs():
+        checks = count_calls(monkeypatch, FreeGroup, "check")
+        back = certificate_from_json(doc)
+        monkeypatch.undo()
+        assert checks["check"] == 0
+        assert any(len(h.generators) > 1 for h in back.cover.vgroup_image.values())
+
+
+def test_reading_a_certificate_builds_one_handle_per_subgroup_list(monkeypatch):
+    """Cover vertices over one target vertex with equal subgroup lists
+    share one handle: a read builds one per distinct (vertex, list)."""
+    for doc in _f2z_cert_docs():
+        verts = doc["cover"]["vertices"].values()
+        distinct = {(v["to"], *v["subgroup"]) for v in verts}
+        built = handles_built(monkeypatch)
+        back = certificate_from_json(doc)
+        monkeypatch.undo()
+        assert built() == len(distinct) < len(verts)
+        assert len({id(h) for h in back.cover.vgroup_image.values()}) == len(distinct)
+
+
+def test_a_subgroup_list_that_is_not_all_strings_is_read_afresh():
+    """[1] reads as the integer 1, but its handle is not shared: [True]
+    equals it as a key, and must still fail as a bool does."""
+    doc = next(_f2z_cert_docs())
+    doc["cover"]["vertices"]["z1"]["subgroup"] = [1]
+    doc["cover"]["vertices"]["z2"]["subgroup"] = [True]
+    with pytest.raises(SchemaError) as err:
+        certificate_from_json(doc)
+    assert (err.value.path, err.value.message) == (
+        "$.cover.vertices.z2.subgroup[0]", "True is not a decimal integer"
+    )
