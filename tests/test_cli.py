@@ -10,7 +10,10 @@ from gogsep import (
     IntGroup,
     Word,
     certificate_to_json,
+    gog_from_json,
+    morphism_to_json,
     separate_element,
+    wedge,
 )
 from gogsep.cli import main
 from gogsep.completion import DEGREE_CAP
@@ -195,6 +198,34 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
     assert main(["rank", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_a_word_list_that_is_not_a_list_is_a_schema_error(tmp_path, capsys):
+    gens = write_json(tmp_path / "gens.json", {"generators": {"start": "u"}})
+    assert main(["fold", PSLZ, "--gens", gens]) == 2
+    assert capsys.readouterr().err == f"schema error: {gens}: expected a list of words\n"
+
+
+def test_a_base_vertex_missing_or_unknown_is_a_schema_error(tmp_path, capsys):
+    doc = json.loads((INSTANCES / "pslz.json").read_text())
+    del doc["base"]
+    no_base = write_json(tmp_path / "no_base.json", doc)
+    assert main(["fold", no_base, "--gens", GENS]) == 2
+    err = capsys.readouterr().err
+    assert err == "schema error: $.base: no base vertex given (use --base)\n"
+    assert main(["separate", PSLZ, "--base", "zz", "--gens", GENS, "--element", ELEMENT]) == 2
+    assert capsys.readouterr().err == "schema error: $.base: unknown vertex 'zz'\n"
+
+
+def test_member_on_a_morphism_that_is_not_an_immersion_exits_1(tmp_path, capsys):
+    """The wedge of two loops that both leave the base along e still has
+    two lifts of e to fold, so it is no immersion."""
+    target = gog_from_json(json.loads((INSTANCES / "pslz.json").read_text()))
+    gens = [W(target, "u", "a", "e", "b", "~e", "1"), W(target, "u", "1", "e", "b", "~e", "a")]
+    wedged = write_json(tmp_path / "wedge.json", morphism_to_json(wedge(target, "u", gens)))
+    word = write_json(tmp_path / "a.json", {"start": "u", "word": ["a"]})
+    assert main(["member", wedged, "--word", word]) == 1
+    assert capsys.readouterr().err == "error: membership needs an immersion; fold first\n"
 
 
 def test_max_order_reaches_cyclic_groups_up_to_its_ceiling(tmp_path, capsys):

@@ -51,6 +51,39 @@ def test_table_validation_rejects_garbage():
         FiniteGroup(els, table)
 
 
+# Each table fault, with the message that names it.
+FINITE_TABLE_FAULTS = {
+    "no elements": ([], {}, "finite group needs at least one element"),
+    "no identity": (
+        ["a", "b"],
+        {"a": {"a": "a", "b": "a"}, "b": {"a": "a", "b": "a"}},
+        "finite group table has no identity",
+    ),
+    # identity and inverses, but (a*a)*b = b while a*(a*b) = a*a = e
+    "not associative": (
+        ["e", "a", "b"],
+        {
+            "e": {"e": "e", "a": "a", "b": "b"},
+            "a": {"e": "a", "a": "e", "b": "a"},
+            "b": {"e": "b", "a": "a", "b": "e"},
+        },
+        "associativity fails at ('a','a','b')",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FINITE_TABLE_FAULTS))
+def test_finite_table_faults_are_named(fault):
+    elements, table, message = FINITE_TABLE_FAULTS[fault]
+    with pytest.raises(GogsepError) as err:
+        FiniteGroup(elements, table)
+    assert str(err.value) == message
+    doc = {"kind": "finite", "elements": elements, "table": table}
+    with pytest.raises(SchemaError) as err:
+        oracle_from_json(doc, path="$.vertices.u")
+    assert (err.value.path, err.value.message) == ("$.vertices.u", message)
+
+
 def test_max_order_cap():
     with pytest.raises(GogsepError):
         FiniteGroup.cyclic(65)
@@ -171,6 +204,20 @@ def test_free_parse_format_round_trip():
 def test_free_parse_accepts_ascii_letter_numbers_only(text):
     with pytest.raises(ForeignElement, match="bad syllable"):
         FreeGroup(2).parse_element(text)
+
+
+def test_free_subgroup_constructors_check_their_words():
+    g = FreeGroup(2)
+    for build in (g.subgroup, lambda gens: oracles.FreeSubgroup(g, gens)):
+        with pytest.raises(ForeignElement) as err:
+            build([(1,), (3,)])
+        assert str(err.value) == "letter 3 out of rank 2"
+        with pytest.raises(ForeignElement) as err:
+            build([(1, 2, -2)])
+        assert str(err.value) == "word (1, 2, -2) is not reduced"
+        with pytest.raises(ForeignElement) as err:
+            build([[1]])
+        assert str(err.value) == "[1] is not a free group word"
 
 
 def test_free_mul_reduces():
