@@ -38,7 +38,9 @@ def complete_to_cover(
     claim one coset slot.  A degree past DEGREE_CAP raises
     ``UnboundedEnumeration`` before any padding.  The result is a cover
     by construction: each slot is filled exactly once.  ``check_cover``
-    and ``cover_index`` check it.
+    and ``cover_index`` check it.  It is connected: a fiber whose index
+    sum is already d gets no padding, and each component of a degree-d
+    cover of the connected target meets that fiber, inside the input.
     """
     tgt = m.target.graph
     fibers = {u: [] for u in tgt.vertices}
@@ -84,6 +86,7 @@ def complete_to_cover(
             if len(bucket) > 1:
                 collided.add(f)
     fresh_edge = fresh_names(m.domain.graph.edge_pairs())
+    pairs = {}
     for f in tgt.edge_pairs():
         back = tgt._rev[f]
         if f in collided or back in collided:
@@ -96,5 +99,6 @@ def complete_to_cover(
         if seed is not None:
             random.Random(f"{seed}|{f}").shuffle(free_r)
         for (v, lrep), (w, rrep) in zip(free_l, free_r):
-            work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
+            pairs[fresh_edge("n")] = (v, w, f, lrep, rrep)
+    work.add_pairs(pairs)
     return work.freeze()

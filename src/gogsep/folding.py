@@ -54,7 +54,7 @@ def wedge(
     w = _Working(target, base)
     w.add_vertex(base, u0, None)  # its subgroup is set below
     groups, t_iota, t_rev = target.vertex_group, target.graph._iota, target.graph._rev
-    out, iota, rev, edge_map, delta = w.out, w.iota, w.rev, w.edge_map, w.delta
+    pairs = {}
     base_letters = []
     for k, g in enumerate(gens, start=1):
         if g.gog is not target:
@@ -68,7 +68,6 @@ def wedge(
                 base_letters.append(letters[0])
             continue
         prev = base
-        # both directions of a pair are written at once; out-lists sort at the end
         for i, f in enumerate(g.edges, start=1):
             at = t_iota[t_rev[f]]
             oracle = groups[at]
@@ -78,16 +77,9 @@ def wedge(
                 d_bar = oracle.identity()
             else:
                 v, d_bar = base, oracle.inv(letters[n])
-            e, back = f"c{k}_{i}", f"~c{k}_{i}"
-            iota[e], iota[back] = prev, v
-            rev[e], rev[back] = back, e
-            out[prev].append(e)
-            out[v].append(back)
-            edge_map[e], edge_map[back] = f, t_rev[f]
-            delta[e], delta[back] = letters[i - 1], d_bar
+            pairs[f"c{k}_{i}"] = (prev, v, f, letters[i - 1], d_bar)
             prev = v
-    for edges in out.values():
-        edges.sort()
+    w.add_pairs(pairs)
     w.vgroup_image[base] = subgroup_generate(groups[u0], base_letters)
     return w.freeze()
 

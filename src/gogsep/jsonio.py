@@ -217,17 +217,17 @@ def _domain_to_json(m: DecoratedMorphism, convention: str) -> dict:
 def _domain_from_json(
     target: GraphOfGroups, doc, convention: str, path: str
 ) -> DecoratedMorphism:
-    """The morphism a domain block describes, written into ``_Working``'s
-    tables in one pass: the field checks below establish every fact
-    ``validate()`` tests.  Each field is read with ``dict.get`` and a type
-    test; ``_expect`` runs, and a path is built, only to raise.
+    """The morphism a domain block describes, built on a ``_Working`` copy
+    in one pass: the field checks below establish every fact ``validate()``
+    tests.  Each field is read with ``dict.get`` and a type test; ``_expect``
+    runs, and a path is built, only to raise.
     """
     verts = _expect(doc, "vertices", dict, path)
     if not verts:
         raise SchemaError(f"{path}.vertices", "needs at least one vertex")
     groups, t_iota, t_rev = target.vertex_group, target.graph._iota, target.graph._rev
     w = _Working(target)
-    out, iota, rev, vertex_map = w.out, w.iota, w.rev, w.vertex_map
+    vertex_map = w.vertex_map
     shared = {}  # (target vertex, *subgroup strings) -> the handle read from them
     for v, spec in verts.items():
         if not isinstance(v, str) or not v:
@@ -261,11 +261,11 @@ def _domain_from_json(
                 handle = oracle._subgroup_of_parsed(gens)
                 if key is not None:
                     shared[key] = handle
-        out[v], vertex_map[v] = [], u
-        w.vgroup_image[v] = handle
+        w.add_vertex(v, u, handle)
     edges = doc.get("edges")
     if not isinstance(edges, list):
         _expect(doc, "edges", list, path)
+    pairs = {}
     for i, e in enumerate(edges):
         if not isinstance(e, dict):
             raise SchemaError(f"{path}.edges[{i}]", "edge must be an object")
@@ -274,13 +274,13 @@ def _domain_from_json(
             _expect(e, "id", str, f"{path}.edges[{i}]")
         if not eid or eid[0] == "~":
             raise SchemaError(f"{path}.edges[{i}].id", f"bad edge id {eid!r}")
-        if eid in iota:
+        if eid in pairs:
             raise SchemaError(f"{path}.edges[{i}].id", f"duplicate edge {eid!r}")
         if not isinstance(frm, str):
             _expect(e, "from", str, f"{path}.edges[{i}]")
         if not isinstance(to, str):
             _expect(e, "to", str, f"{path}.edges[{i}]")
-        if frm not in out or to not in out:
+        if frm not in vertex_map or to not in vertex_map:
             raise SchemaError(f"{path}.edges[{i}]", f"endpoint of {eid!r} is not a vertex")
         if not isinstance(f, str):
             _expect(e, "onto", str, f"{path}.edges[{i}]")
@@ -304,15 +304,10 @@ def _domain_from_json(
             raise SchemaError(f"{path}.edges[{i}].delta", str(exc)) from exc
         if convention == "paper-left":
             d, db = o_i.inv(d), o_t.inv(db)
-        back = "~" + eid
-        iota[eid], iota[back], rev[eid], rev[back] = frm, to, back, eid
-        out[frm].append(eid)
-        out[to].append(back)
-        w.edge_map[eid], w.edge_map[back], w.delta[eid], w.delta[back] = f, f_bar, d, db
-    for lifts in out.values():
-        lifts.sort()
+        pairs[eid] = (frm, to, f, d, db)
+    w.add_pairs(pairs)
     w.base = _expect(doc, "base", str, path, optional=True)
-    if w.base is not None and w.base not in out:
+    if w.base is not None and w.base not in vertex_map:
         raise SchemaError(f"{path}.base", f"unknown vertex {w.base!r}")
     m = w.freeze()
     if not m.domain.graph.is_connected():

@@ -18,11 +18,10 @@ reduced word under an immersion is reduced.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Graph, GraphOfGroups, Word, bar
+from .core import Graph, GraphOfGroups, Word
 from .errors import (
     EndpointMismatch,
     GogsepError,
@@ -120,26 +119,15 @@ class DecoratedMorphism:
 class _Working:
     """A morphism's data opened for editing in place, then frozen once.
 
-    The stages that reshape a morphism (wedge, fold, trim, hair, enlarge,
-    completion) edit this copy, and the JSON readers fill one; each edit
-    touches only the vertices and edges it names.  ``freeze`` hands the
-    data over unchecked, so every edit keeps what ``Graph``,
-    ``GraphOfGroups`` and ``DecoratedMorphism.validate`` would otherwise
-    check (the readers check each field they parse):
-
-    * each vertex's out-list holds the edges e with iota(e) at it, sorted
-      by id as ``Graph`` keeps them, and vertices keep insertion order;
-    * ``iota`` and ``rev`` hold e exactly when they hold ~e, rev(e) = ~e
-      and tau(e) = iota(~e);
-    * every edge has an image f, with ~f the image of ~e and iota(f)
-      under iota(e), and a delta in the oracle at its start;
-    * every vertex has an image and a handle in its image's group;
-    * the domain stays connected.  Wedge circles share the base, a fold
-      merges the ends of two edges, a trim peels a leaf and a hair hangs
-      off an existing vertex.  Completion pads no fiber whose index sum
-      is the maximum d; each component of its degree-d cover of the
-      connected target meets that fiber, which lies in the original,
-      connected immersion.  The readers check it after ``freeze``.
+    The stages that reshape a morphism and the JSON readers build on this
+    copy, and ``freeze`` hands its tables over unchecked.  The methods keep
+    the graph's layout: ``add_pairs`` writes both directions of each pair,
+    ``iota`` and ``rev`` always hold e exactly when they hold ~e, and every
+    out-list stays sorted by id.  The callers keep the rest of what
+    ``DecoratedMorphism.validate`` tests: each edge's image runs under it
+    with a delta in the oracle at its start, each vertex carries a handle
+    in its image's group, and the domain stays connected (the readers
+    check that after ``freeze``).
     """
 
     def __init__(self, target: GraphOfGroups, base: Optional[str] = None):
@@ -174,15 +162,21 @@ class _Working:
         self.vertex_map[v] = u
         self.vgroup_image[v] = handle
 
-    def add_edge(self, e: str, frm: str, to: str, f: str, d, d_bar):
-        """The pair e: frm -> to over f, with delta d and d_bar on ~e."""
-        back = bar(e)
-        self.iota[e], self.iota[back] = frm, to
-        self.rev[e], self.rev[back] = back, e
-        bisect.insort(self.out[frm], e)
-        bisect.insort(self.out[to], back)
-        self.edge_map[e], self.edge_map[back] = f, self.target.graph._rev[f]
-        self.delta[e], self.delta[back] = d, d_bar
+    def add_pairs(self, pairs: dict):
+        """Add each pair {e: (frm, to, f, d, d_bar)}: e runs frm -> to over
+        f with delta d, and its reverse ``"~" + e`` carries d_bar."""
+        out, iota, rev = self.out, self.iota, self.rev
+        edge_map, delta, t_rev = self.edge_map, self.delta, self.target.graph._rev
+        for e, (frm, to, f, d, d_bar) in pairs.items():
+            back = "~" + e
+            iota[e], iota[back] = frm, to
+            rev[e], rev[back] = back, e
+            out[frm].append(e)
+            out[to].append(back)
+            edge_map[e], edge_map[back] = f, t_rev[f]
+            delta[e], delta[back] = d, d_bar
+        for edges in out.values():
+            edges.sort()
 
     def drop_pair(self, e: str):
         back = self.rev.pop(e)
@@ -207,10 +201,13 @@ class _Working:
             self.iota[x] = x1
             self.delta[x] = oracle.mul(t, self.delta[x])
         self.out[x1] = sorted(self.out[x1] + moved)
-        conj = self.vgroup_image.pop(x2).conjugated(t)
-        self.vgroup_image[x1] = subgroup_generate(
-            oracle, tuple(self.vgroup_image[x1].generators) + tuple(conj.generators)
-        )
+        gens = self.vgroup_image.pop(x2).generators
+        if gens:
+            self.vgroup_image[x1] = subgroup_generate(
+                oracle,
+                self.vgroup_image[x1].generators
+                + tuple(oracle.conjugate(t, s) for s in gens),
+            )
         del self.vertex_map[x2]
 
     def freeze(self) -> DecoratedMorphism:

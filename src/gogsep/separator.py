@@ -88,14 +88,16 @@ def attach_separating_path(m: DecoratedMorphism, u0: str, g: Word):
     fresh_vertex = fresh_names(w.out)
     fresh_edge = fresh_names(m.domain.graph.edge_pairs())
     prev = outcome.vertex
+    hair = {}
     for j in range(i, g.n):
         u = g.vertex_at(j + 1)
         oracle = m.target.group_at(u)
         v = fresh_vertex("q")
         w.add_vertex(v, u, oracle.trivial_subgroup())
         carry = outcome.carry if j == i else g.groups[j]
-        w.add_edge(fresh_edge("h"), prev, v, g.edges[j], carry, oracle.identity())
+        hair[fresh_edge("h")] = (prev, v, g.edges[j], carry, oracle.identity())
         prev = v
+    w.add_pairs(hair)
     return w.freeze(), ("hair", prev)
 
 

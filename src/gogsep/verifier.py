@@ -464,11 +464,15 @@ def crosscheck(
     Re-runs the certificate checks, then compares the declared degree
     with a Todd-Coxeter enumeration of the cover's loop subgroup and
     embeds a tree ball.  Steps needing finite vertex groups are marked
-    skipped on targets with integer or free kinds.
+    skipped on targets with integer or free kinds, and both fail unrun when
+    the certificate's structure check failed, since they read its data
+    unchecked.
     """
     transcript = list(verify_certificate(cert).transcript)
     target = cert.target
-    if all(target.group_at(v).kind == "finite" for v in target.graph.vertices):
+    if not transcript[0]["ok"]:  # the structure step
+        enum = ball = (False, "not run: the certificate is malformed")
+    elif all(target.group_at(v).kind == "finite" for v in target.graph.vertices):
         try:
             idx = _schreier_index(cert.cover, cert.base_vertex, cap)
             detail = f"enumerated index {idx}, declared degree {cert.degree}"

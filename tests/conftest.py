@@ -1,3 +1,4 @@
+import bisect
 import random
 import sys
 from collections import deque
@@ -296,10 +297,22 @@ def lifts_at(m, v):
     return lifts_by_edge(m.domain.graph.edges_at(v), m.edge_map)
 
 
+def insort_pair(w, e, frm, to, f, d, d_bar):
+    """Reference writer for ``_Working.add_pairs``: the one pair e: frm -> to
+    over f, with delta d and d_bar on ~e, each direction inserted into its
+    sorted out-list."""
+    back = bar(e)
+    w.iota[e], w.iota[back] = frm, to
+    w.rev[e], w.rev[back] = back, e
+    bisect.insort(w.out[frm], e)
+    bisect.insort(w.out[to], back)
+    w.edge_map[e], w.edge_map[back] = f, w.target.graph._rev[f]
+    w.delta[e], w.delta[back] = d, d_bar
+
+
 def reference_wedge(target, u0, gens):
     """Reference for ``wedge``: each circle vertex gets the trivial handle
-    its oracle returns, and each edge pair goes through ``_Working.add_edge``,
-    which inserts both directions into sorted out-lists."""
+    its oracle returns, and each edge pair goes in through ``insort_pair``."""
     if not target.graph.has_vertex(u0):
         raise GogsepError(f"unknown base vertex {u0!r}")
     base = "v0"
@@ -325,7 +338,8 @@ def reference_wedge(target, u0, gens):
                 w.add_vertex(v, at, oracle.trivial_subgroup())
             else:
                 v = base
-            w.add_edge(
+            insort_pair(
+                w,
                 f"c{k}_{i}",
                 prev,
                 v,
@@ -394,7 +408,7 @@ def _reference_edge_record(e, epath, vertices, ids):
 def reference_domain_from_json(target, doc, convention, path):
     """Reference for ``jsonio._domain_from_json``: each field through
     ``_expect`` with its path built up front, a fresh handle per vertex,
-    and each edge pair through ``_Working.add_edge``."""
+    and each edge pair through ``insort_pair``."""
     if not isinstance(doc, dict):
         raise SchemaError(path, "domain must be an object")
     verts = _expect(doc, "vertices", dict, path)
@@ -439,7 +453,7 @@ def reference_domain_from_json(target, doc, convention, path):
             raise SchemaError(f"{epath}.delta", str(exc)) from exc
         if convention == "paper-left":
             d, db = o_i.inv(d), o_t.inv(db)
-        w.add_edge(eid, frm, to, onto, d, db)
+        insort_pair(w, eid, frm, to, onto, d, db)
     w.base = _expect(doc, "base", str, path, optional=True)
     if w.base is not None and w.base not in w.out:
         raise SchemaError(f"{path}.base", f"unknown vertex {w.base!r}")
@@ -563,7 +577,7 @@ def reference_complete(m, seed=None):
         if seed is not None:
             random.Random(f"{seed}|{f}").shuffle(free_r)
         for ((v, _), lrep), ((w, _), rrep) in zip(free_l, free_r):
-            work.add_edge(fresh_edge("n"), v, w, f, lrep, rrep)
+            insort_pair(work, fresh_edge("n"), v, w, f, lrep, rrep)
     return work.freeze()
 
 

@@ -313,6 +313,14 @@ def test_lift_loop_endpoint_checks(pslz):
         lift_loop(m, not_loop, "v0")
 
 
+def test_lift_loop_rejects_an_unknown_base_vertex_and_another_target(pslz, dinfty):
+    m = ab_immersion(pslz)
+    with pytest.raises(GogsepError, match="unknown base vertex 'nowhere'"):
+        lift_loop(m, W(pslz, "u", "a"), "nowhere")
+    with pytest.raises(GogsepError, match="does not live on the morphism's target"):
+        lift_loop(m, W(dinfty, "u", "a"), "v0")
+
+
 # -- membership --------------------------------------------------------------
 
 

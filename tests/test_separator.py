@@ -252,6 +252,36 @@ def test_verify_stops_at_malformed_cover(pslz):
     assert [(t["check"], t["ok"]) for t in report.transcript] == [("structure", False)]
 
 
+@pytest.mark.parametrize(
+    "detail, break_cover",
+    [
+        ("vertex 'v1_1' has no subgroup handle", lambda m, t: m.vgroup_image.pop("v1_1")),
+        (
+            "subgroup at 'v1_1' lives in the wrong vertex group",
+            lambda m, t: m.vgroup_image.update(v1_1=t.group_at("u").trivial_subgroup()),
+        ),
+        ("edge 'c1_1' has no valid image", lambda m, t: m.edge_map.pop("c1_1")),
+    ],
+    ids=["no-handle", "foreign-handle", "unmapped-edge"],
+)
+def test_verify_names_a_cover_fault_in_its_structure_step(pslz, detail, break_cover):
+    cert = separate_element(pslz, "u", [ab_loop(pslz)], W(pslz, "u", "a"), seed=0)
+    assert cert.cover.vertex_map["v1_1"] == "w"
+    break_cover(cert.cover, pslz)  # data changed after construction
+    assert verify_certificate(cert).transcript == [
+        {"check": "structure", "ok": False, "detail": detail}
+    ]
+
+
+def test_separate_raises_when_its_certificate_fails_its_own_check(pslz, monkeypatch):
+    failing = gogsep.separator.VerificationReport(
+        False, [{"check": "structure", "ok": False, "detail": "broken"}]
+    )
+    monkeypatch.setattr(gogsep.separator, "verify_certificate", lambda cert: failing)
+    with pytest.raises(GogsepError, match="emitted certificate failed its own check"):
+        separate_element(pslz, "u", [ab_loop(pslz)], W(pslz, "u", "a"), seed=0)
+
+
 def test_verify_rejects_member_element(pslz):
     ab = ab_loop(pslz)
     cert = separate_element(pslz, "u", [ab], W(pslz, "u", "a"), seed=0)

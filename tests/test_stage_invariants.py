@@ -87,7 +87,7 @@ def test_edits_keep_each_reverse_table_to_its_own_morphism():
 
     w = _Working.of(m)
     w.drop_pair("c1_2")
-    w.add_edge("n1", "v0", "v1_1", "e", "1", "1")
+    w.add_pairs({"n1": ("v0", "v1_1", "e", "1", "1")})
     assert m.domain.graph._rev == before
     assert_well_built(m)
     assert_well_built(w.freeze())

@@ -255,6 +255,23 @@ def test_crosscheck_reports_a_coset_cap_as_a_failed_check(pslz):
     }
 
 
+def test_crosscheck_reports_a_malformed_certificate_without_running_its_steps(pslz):
+    """A delta outside its group and an unknown cover base fail the structure
+    step; the enumeration and the tree ball, which read the cover unchecked,
+    are then failed unrun instead of raising."""
+    foreign = _pslz_cert(pslz)
+    foreign.cover.delta[foreign.cover.domain.graph.edge_pairs()[0]] = "zz"
+    nowhere = dataclasses.replace(_pslz_cert(pslz), base_vertex="nowhere")
+    for cert in (foreign, nowhere):
+        report = crosscheck(cert)
+        assert not report.ok
+        assert (report.transcript[0]["check"], report.transcript[0]["ok"]) == ("structure", False)
+        assert report.transcript[-2:] == [
+            {"check": check, "ok": False, "detail": "not run: the certificate is malformed"}
+            for check in ("coset-enumeration", "tree-ball")
+        ]
+
+
 def test_crosscheck_skips_on_infinite_targets(z2):
     gens = [
         W(z2, "x", "0", "e", "1", "~e", "0"),
