@@ -383,6 +383,9 @@ class IntGroup(VertexGroup):
 
     kind = "integer"
 
+    def __init__(self):
+        self._parsed = {}  # each integer string read so far -> its value
+
     def identity(self):
         return 0
 
@@ -406,10 +409,14 @@ class IntGroup(VertexGroup):
         if isinstance(text, int) and not isinstance(text, bool):
             return text
         if isinstance(text, str):
+            n = self._parsed.get(text)
+            if n is not None:
+                return n
             t = text.strip()
             n = _ascii_decimal(t[1:] if t[:1] in ("+", "-") else t)
             if n is not None:
-                return -n if t[:1] == "-" else n
+                n = self._parsed[text] = -n if t[:1] == "-" else n
+                return n
         raise ForeignElement(f"{text!r} is not a decimal integer")
 
     def format_element(self, g):

@@ -97,8 +97,9 @@ def brute_member(
 # Presentation of the fundamental group relative to a spanning tree:
 # one symbol per nontrivial element of each vertex group with the full
 # multiplication table as relators, plus one free stable letter per
-# non-tree edge pair.  An edge translates to its group letters around its
-# stable letter; tree edges vanish.
+# non-tree edge pair.  Symbols are numbered 0..k-1 in that order.  An edge
+# translates to its group letters around its stable letter; tree edges
+# vanish.
 
 
 def _spanning_tree(graph, root: str):
@@ -106,9 +107,8 @@ def _spanning_tree(graph, root: str):
     order (None at root), and the tree edges in both orientations."""
     out, iota, rev = graph._out, graph._iota, graph._rev
     reach = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    queue = [root]
+    for v in queue:  # a list read while it grows is a FIFO queue
         for e in out[v]:
             w = iota[rev[e]]
             if w not in reach:
@@ -119,175 +119,179 @@ def _spanning_tree(graph, root: str):
 
 
 def _presentation(gog: GraphOfGroups, root: str):
+    """(inv, relators, stable, letter): inv[s] is the inverse of symbol s,
+    stable maps each directed edge to its stable letter as a tuple (empty on
+    the tree), and letter[v] each element of G_v to its symbol as a tuple
+    (empty for the identity)."""
     _require_finite(gog, "coset enumeration")
-    symbols = []
-    inv = {}
-    relators = []
+    inv, relators, letter = [], [], {}
     for v in sorted(gog.graph.vertices):
         oracle = gog.group_at(v)
         nontrivial = [x for x in oracle.elements if not oracle.is_identity(x)]
-        for x in nontrivial:
-            s = ("g", v, x)
-            symbols.append(s)
-            inv[s] = ("g", v, oracle.inv(x))
+        num = {x: len(inv) + i for i, x in enumerate(nontrivial)}
+        letter[v] = {x: (num[x],) if x in num else () for x in oracle.elements}
+        inv.extend(num[oracle.inv(x)] for x in nontrivial)
         for x in nontrivial:
             for y in nontrivial:
-                word = [("g", v, x), ("g", v, y)]
                 z = oracle.mul(x, y)
-                if not oracle.is_identity(z):
-                    word.append(("g", v, oracle.inv(z)))
-                relators.append(word)
+                relators.append((num[x], num[y]) + letter[v][oracle.inv(z)])
     _, tree = _spanning_tree(gog.graph, root)
-    stable = {}  # directed edge -> its stable letter, [] on the tree
+    stable = {}
     for p in gog.graph.edge_pairs():
         back = gog.graph._rev[p]
         if p in tree:
-            stable[p] = stable[back] = []
+            stable[p] = stable[back] = ()
             continue
-        s, si = ("t", p), ("T", p)
-        symbols.extend([s, si])
-        inv[s] = si
-        inv[si] = s
-        stable[p], stable[back] = [s], [si]
-    return symbols, inv, relators, stable
-
-
-def _group_letter(gog: GraphOfGroups, v: str, x) -> list:
-    return [] if gog.group_at(v).is_identity(x) else [("g", v, x)]
+        s = len(inv)
+        inv += [s + 1, s]
+        stable[p], stable[back] = (s,), (s + 1,)
+    return inv, relators, stable, letter
 
 
 class _CosetTable:
+    """A coset table over numbered symbols: row a is a list whose entry s is
+    a·s, or None while undefined.  Coincident cosets merge into the smaller
+    number, so a coset is live exactly when it is its own parent."""
+
     def __init__(self, inv, cap):
         self.inv = inv
         self.cap = cap
-        self.rows = [{}]
+        self.rows = [[None] * len(inv)]
         self.parent = [0]
         self.pending = deque()
 
     def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
         return a
 
-    def alive(self):
-        return [a for a in range(len(self.rows)) if self.find(a) == a]
-
     def define(self, a, s):
-        if len(self.rows) > self.cap:
+        """A new coset a·s, for a live coset a whose entry s is undefined."""
+        rows = self.rows
+        if len(rows) > self.cap:
             raise DidNotClose(self.cap)
-        b = len(self.rows)
-        self.rows.append({})
+        b = len(rows)
+        row = [None] * len(self.inv)
+        row[self.inv[s]] = a
+        rows.append(row)
         self.parent.append(b)
-        self.set(a, s, b)
+        rows[a][s] = b
         return b
 
-    def set(self, a, s, b):
-        a, b = self.find(a), self.find(b)
-        for x, sym, y in ((a, s, b), (b, self.inv[s], a)):
-            cur = self.rows[x].get(sym)
-            if cur is None:
-                self.rows[x][sym] = y
-            elif self.find(cur) != self.find(y):
-                self.pending.append((cur, y))
-        self.merge()
-
     def merge(self):
-        while self.pending:
-            a, b = self.pending.popleft()
-            a, b = self.find(a), self.find(b)
+        find, rows, inv, pending = self.find, self.rows, self.inv, self.pending
+        while pending:
+            a, b = pending.popleft()
+            a, b = find(a), find(b)
             if a == b:
                 continue
             keep, dead = min(a, b), max(a, b)
             self.parent[dead] = keep
-            row = self.rows[dead]
-            self.rows[dead] = {}
-            for s, t in row.items():
-                t = self.find(t)
-                cur = self.rows[self.find(keep)].get(s)
+            row = rows[dead]
+            rows[dead] = None
+            for s, t in enumerate(row):
+                if t is None:
+                    continue
+                t = find(t)
+                cur = rows[keep][s]
                 if cur is None:
-                    self.rows[self.find(keep)][s] = t
-                    back = self.rows[t].get(self.inv[s])
-                    if back is None:
-                        self.rows[t][self.inv[s]] = self.find(keep)
-                    elif self.find(back) != self.find(keep):
-                        self.pending.append((back, keep))
-                elif self.find(cur) != t:
-                    self.pending.append((cur, t))
+                    rows[keep][s] = t
+                    # Every entry has its inverse entry, so t·s⁻¹ is set, or
+                    # t is keep and dead's own s⁻¹ entry is moved later on.
+                    back = rows[t][inv[s]]
+                    if back is not None and find(back) != keep:
+                        pending.append((back, keep))
+                elif find(cur) != t:
+                    pending.append((cur, t))
 
     def trace(self, a, word):
-        """The coset a·word, defining cosets along the word as needed."""
+        """The coset a·word, defining cosets along the word as needed; the
+        steps trace before any coincidence, so every coset is live."""
+        rows = self.rows
         for s in word:
-            a = self.find(a)
-            nxt = self.rows[a].get(s)
+            nxt = rows[a][s]
             a = self.define(a, s) if nxt is None else nxt
-        return self.find(a)
+        return a
 
     def scan_fill(self, a, word, end=None):
         """Force a·word = end (a relator when end is None), scanning from
         a forward and from end back and defining cosets as needed."""
+        find, rows, parent, inv = self.find, self.rows, self.parent, self.inv
+        n = len(word)
         while True:
-            a = self.find(a)
-            b = a if end is None else self.find(end)
+            if parent[a] != a:
+                a = find(a)
+            b = a if end is None else end
+            if parent[b] != b:
+                b = find(b)
             i, f = 0, a
-            while i < len(word):
-                nxt = self.rows[self.find(f)].get(word[i])
+            while i < n:
+                nxt = rows[f][word[i]]
                 if nxt is None:
                     break
-                f = self.find(nxt)
+                f = nxt if parent[nxt] == nxt else find(nxt)
                 i += 1
-            if i == len(word):
-                if self.find(f) != b:
+            if i == n:
+                if f != b:
                     self.pending.append((f, b))
                     self.merge()
                 return
-            j = len(word) - 1
+            j = n - 1
             while j > i:
-                prv = self.rows[self.find(b)].get(self.inv[word[j]])
+                prv = rows[b][inv[word[j]]]
                 if prv is None:
                     break
-                b = self.find(prv)
+                b = prv if parent[prv] == prv else find(prv)
                 j -= 1
-            if j == i:
-                self.set(f, word[i], b)
+            if j == i:  # a deduction: f·s = b, and so b·s⁻¹ = f
+                s = word[i]
+                rows[f][s] = b
+                cur = rows[b][inv[s]]
+                if cur is None:
+                    rows[b][inv[s]] = f
+                elif find(cur) != f:
+                    self.pending.append((cur, f))
+                    self.merge()
                 return
-            self.define(self.find(f), word[i])
+            self.define(f, word[i])
 
 
 def _enumerate(presentation, base, steps, relations, cap: int) -> int:
     """Todd-Coxeter over named points, coset 0 being point base.  A step
     (p, word, q) defines point q as p·word; a relation (p, word, q) forces
     p·word = q.  Rounds scan the relations, the relators at every live coset,
-    then define missing symbols, until the table stops changing; raises
-    DidNotClose past cap cosets."""
-    symbols, inv, relators, _ = presentation
+    then define missing symbols; raises DidNotClose past cap cosets.
+
+    The first round that defines no coset ends it.  Each scan in it ended
+    with its word holding, by a full trace, a deduction or a merge, and
+    later deductions and merges only add to what holds.  Every coset live
+    at the end was live when its relators were scanned, and the last phase
+    found it complete.  So the table is closed, and another round would
+    change nothing."""
+    inv, relators = presentation[:2]
     table = _CosetTable(inv, cap)
+    rows, parent = table.rows, table.parent
     point = {base: 0}
     for p, word, q in steps:
         point[q] = table.trace(point[p], word)
-
-    def state():
-        live = table.alive()
-        return (len(table.rows), len(live), sum(len(table.rows[a]) for a in live))
-
     while True:
-        before = state()
+        defined = len(rows)
         for p, word, q in relations:
             table.scan_fill(point[p], word, point[q])
-        for a in range(len(table.rows)):
-            if table.find(a) != a:
-                continue
-            for r in relators:
-                table.scan_fill(a, r)
-        for a in range(len(table.rows)):
-            if table.find(a) != a:
-                continue
-            for s in symbols:
-                if table.rows[a].get(s) is None:
-                    table.define(a, s)
-        if state() == before:
-            break
-    return len(table.alive())
+        if relators:
+            for a in range(len(rows)):
+                if parent[a] == a:
+                    for r in relators:
+                        table.scan_fill(a, r)
+        for a in range(len(rows)):
+            if parent[a] == a and None in rows[a]:
+                for s in range(len(inv)):
+                    if rows[a][s] is None:
+                        table.define(a, s)
+        if len(rows) == defined:
+            return sum(1 for a, x in enumerate(parent) if a == x)
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +427,42 @@ def _schreier_index(m: DecoratedMorphism, base: str, cap: int) -> int:
     Point v is the coset 0·(image of the BFS tree path from base to v).  A
     tree edge e: v -> w defines w as v·δ(e)·φ(e)·δ(~e)⁻¹, a non-tree edge
     pair forces that equation, and a vertex-subgroup generator s forces
-    v·s = v: the subgroup the cover's Schreier loops generate.
+    v·s = v: the subgroup the cover's Schreier loops generate.  Each
+    distinct (φ(e), δ(e), δ(~e)) is checked and numbered once per call.
     """
     graph, target = m.domain.graph, m.target
     if not graph.has_vertex(base):
         raise GogsepError(f"unknown vertex {base!r}")
     presentation = _presentation(target, m.vertex_map[base])
-    stable = presentation[3]
+    _, _, stable, letter = presentation
     reach, tree = _spanning_tree(graph, base)
+    iota, rev = graph._iota, graph._rev
+    edge_map, delta, vertex_map = m.edge_map, m.delta, m.vertex_map
+    words = {}  # (φ(e), δ(e), δ(~e)) -> (its ends in the target, its word)
 
-    def edge(v, e, w):  # v·image(e) = w, for e: v -> w
-        f, x, y = m.edge_map[e], m.vertex_map[v], m.vertex_map[w]
-        if (target.graph.iota(f), target.graph.tau(f)) != (x, y):
-            raise GogsepError(f"image {f!r} of {e!r} does not run {x!r} to {y!r}")
-        out, back = m.delta[e], m.delta[graph._rev[e]]
-        target.group_at(x).check(out)
-        target.group_at(y).check(back)
-        word = _group_letter(target, x, out) + stable[f]
-        return v, word + _group_letter(target, y, target.group_at(y).inv(back)), w
+    def edge(e):  # v·image(e) = w, for e: v -> w
+        back = rev[e]
+        v, w = iota[e], iota[back]
+        key, ends = (edge_map[e], delta[e], delta[back]), (vertex_map[v], vertex_map[w])
+        known = words.get(key)
+        if known is None or known[0] != ends:
+            (f, out, d), (x, y) = key, ends
+            if (target.graph.iota(f), target.graph.tau(f)) != ends:
+                raise GogsepError(f"image {f!r} of {e!r} does not run {x!r} to {y!r}")
+            target.group_at(x).check(out)
+            target.group_at(y).check(d)
+            word = letter[x][out] + stable[f] + letter[y][target.group_at(y).inv(d)]
+            known = words[key] = (ends, word)
+        return v, known[1], w
 
-    steps = [edge(graph.iota(e), e, w) for w, e in reach.items() if e]
+    steps = [edge(e) for e in reach.values() if e]
     relations = []
     for v in sorted(graph.vertices):
         for s in m.vgroup_image[v].generators:
             m.oracle_at(v).check(s)
-            relations.append((v, _group_letter(target, m.vertex_map[v], s), v))
-    for e in graph.edge_pairs():
-        if e not in tree:
-            relations.append(edge(graph.iota(e), e, graph.tau(e)))
+            relations.append((v, letter[vertex_map[v]][s], v))
+    pairs = sorted(e for e in iota if e[:1] != "~" and e not in tree)  # as edge_pairs()
+    relations.extend(edge(e) for e in pairs)
     return _enumerate(presentation, base, steps, relations, cap)
 
 

@@ -23,6 +23,7 @@ from gogsep import (
 from gogsep.completion import DEGREE_CAP
 from gogsep.core import fresh_names
 from gogsep.errors import (
+    DidNotClose,
     EdgeChainBroken,
     ElementOutOfGroup,
     EndpointMismatch,
@@ -36,7 +37,7 @@ from gogsep.errors import (
 from gogsep.jsonio import _expect
 from gogsep.morphism import _Working, lifts_by_edge
 from gogsep.oracles import FiniteSubgroup, FreeSubgroup, IntSubgroup, subgroup_generate
-from gogsep.verifier import _enumerate, _group_letter, _presentation
+from gogsep.verifier import _enumerate, _presentation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -713,13 +714,26 @@ def subgroup_generators(m, u0):
     return [g for g in gens if not g.is_identity_loop()]
 
 
-def _translate(gog, w, stable):
-    out = []
+def _translate(w, letter, stable):
+    out = ()
     for i in range(w.n + 1):
-        out += _group_letter(gog, w.vertex_at(i), w.groups[i])
+        out += letter[w.vertex_at(i)][w.groups[i]]
         if i < w.n:
             out += stable[w.edges[i]]
     return out
+
+
+def loop_relations(gog, u0, loops):
+    """The presentation of gog's fundamental group at u0, and one relation
+    u0·loop = u0 per loop, as the enumerations take them."""
+    presentation = _presentation(gog, u0)
+    relations = []
+    for w in loops:
+        w = w.validate()
+        if w.start != u0 or not w.is_loop():
+            raise GogsepError("coset enumeration needs loops at the base vertex")
+        relations.append((u0, _translate(w, presentation[3], presentation[2]), u0))
+    return presentation, relations
 
 
 def coset_enumerate(gog, u0, loops, cap=20000):
@@ -728,14 +742,140 @@ def coset_enumerate(gog, u0, loops, cap=20000):
     Works purely on a presentation of the fundamental group; raises
     DidNotClose when more than ``cap`` cosets get defined.
     """
-    presentation = _presentation(gog, u0)
-    relations = []
-    for w in loops:
-        w = w.validate()
-        if w.start != u0 or not w.is_loop():
-            raise GogsepError("coset enumeration needs loops at the base vertex")
-        relations.append((u0, _translate(gog, w, presentation[3]), u0))
+    presentation, relations = loop_relations(gog, u0, loops)
     return _enumerate(presentation, u0, [], relations, cap)
+
+
+class _ReferenceCosetTable:
+    """Reference for ``verifier._CosetTable``: rows are dicts keyed by
+    symbol, and every merge and scan looks each coset up afresh."""
+
+    def __init__(self, inv, cap):
+        self.inv = inv
+        self.cap = cap
+        self.rows = [{}]
+        self.parent = [0]
+        self.pending = deque()
+
+    def find(self, a):
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def alive(self):
+        return [a for a in range(len(self.rows)) if self.find(a) == a]
+
+    def define(self, a, s):
+        if len(self.rows) > self.cap:
+            raise DidNotClose(self.cap)
+        b = len(self.rows)
+        self.rows.append({})
+        self.parent.append(b)
+        self.set(a, s, b)
+        return b
+
+    def set(self, a, s, b):
+        a, b = self.find(a), self.find(b)
+        for x, sym, y in ((a, s, b), (b, self.inv[s], a)):
+            cur = self.rows[x].get(sym)
+            if cur is None:
+                self.rows[x][sym] = y
+            elif self.find(cur) != self.find(y):
+                self.pending.append((cur, y))
+        self.merge()
+
+    def merge(self):
+        while self.pending:
+            a, b = self.pending.popleft()
+            a, b = self.find(a), self.find(b)
+            if a == b:
+                continue
+            keep, dead = min(a, b), max(a, b)
+            self.parent[dead] = keep
+            row = self.rows[dead]
+            self.rows[dead] = {}
+            for s, t in row.items():
+                t = self.find(t)
+                cur = self.rows[self.find(keep)].get(s)
+                if cur is None:
+                    self.rows[self.find(keep)][s] = t
+                    back = self.rows[t].get(self.inv[s])
+                    if back is None:
+                        self.rows[t][self.inv[s]] = self.find(keep)
+                    elif self.find(back) != self.find(keep):
+                        self.pending.append((back, keep))
+                elif self.find(cur) != t:
+                    self.pending.append((cur, t))
+
+    def trace(self, a, word):
+        for s in word:
+            a = self.find(a)
+            nxt = self.rows[a].get(s)
+            a = self.define(a, s) if nxt is None else nxt
+        return self.find(a)
+
+    def scan_fill(self, a, word, end=None):
+        while True:
+            a = self.find(a)
+            b = a if end is None else self.find(end)
+            i, f = 0, a
+            while i < len(word):
+                nxt = self.rows[self.find(f)].get(word[i])
+                if nxt is None:
+                    break
+                f = self.find(nxt)
+                i += 1
+            if i == len(word):
+                if self.find(f) != b:
+                    self.pending.append((f, b))
+                    self.merge()
+                return
+            j = len(word) - 1
+            while j > i:
+                prv = self.rows[self.find(b)].get(self.inv[word[j]])
+                if prv is None:
+                    break
+                b = self.find(prv)
+                j -= 1
+            if j == i:
+                self.set(f, word[i], b)
+                return
+            self.define(self.find(f), word[i])
+
+
+def reference_enumerate(presentation, base, steps, relations, cap):
+    """Reference for ``verifier._enumerate`` on the same inputs: dict rows,
+    and rounds that repeat until the count of cosets, of live cosets and of
+    their entries stops changing."""
+    inv, relators = presentation[:2]
+    table = _ReferenceCosetTable(inv, cap)
+    point = {base: 0}
+    for p, word, q in steps:
+        point[q] = table.trace(point[p], word)
+
+    def state():
+        live = table.alive()
+        return (len(table.rows), len(live), sum(len(table.rows[a]) for a in live))
+
+    while True:
+        before = state()
+        for p, word, q in relations:
+            table.scan_fill(point[p], word, point[q])
+        for a in range(len(table.rows)):
+            if table.find(a) != a:
+                continue
+            for r in relators:
+                table.scan_fill(a, r)
+        for a in range(len(table.rows)):
+            if table.find(a) != a:
+                continue
+            for s in range(len(inv)):
+                if table.rows[a].get(s) is None:
+                    table.define(a, s)
+        if state() == before:
+            break
+    return len(table.alive())
 
 
 def _random_element(oracle, rng, bound):

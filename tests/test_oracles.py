@@ -20,7 +20,7 @@ from gogsep.errors import (
     SchemaError,
 )
 
-from conftest import canonical_key
+from conftest import canonical_key, count_calls
 from test_free_fold_reference import reference_core
 
 
@@ -178,6 +178,19 @@ def test_int_parse_and_format():
 def test_int_parse_accepts_ascii_decimals_only(text):
     with pytest.raises(ForeignElement, match="is not a decimal integer"):
         IntGroup().parse_element(text)
+
+
+def test_int_parse_reads_a_repeated_string_from_its_table(monkeypatch):
+    g = IntGroup()
+    calls = count_calls(monkeypatch, oracles, "_ascii_decimal")
+    texts = ("-3", " -3", "-3", "0", "0", "+0")
+    assert [g.parse_element(t) for t in texts] == [-3, -3, -3, 0, 0, 0]
+    assert calls["_ascii_decimal"] == 4  # "-3", " -3", "0" and "+0"
+    for bad in (True, False, "x", "x", "-", "-"):
+        with pytest.raises(ForeignElement, match="is not a decimal integer"):
+            g.parse_element(bad)
+    assert g.parse_element(7) == 7
+    assert IntGroup().parse_element("-3") == -3
 
 
 # -- free kind ---------------------------------------------------------------

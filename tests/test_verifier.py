@@ -7,8 +7,12 @@ import pytest
 
 import gogsep.verifier
 from gogsep import (
+    FiniteGroup,
+    Graph,
+    GraphOfGroups,
     ball_map_check,
     brute_member,
+    complete_to_cover,
     crosscheck,
     enumerate_ball_elements,
     fold,
@@ -17,6 +21,7 @@ from gogsep import (
     tree_ball,
     wedge,
 )
+from gogsep.verifier import _schreier_index
 from gogsep.errors import DidNotClose, GogsepError, UnboundedEnumeration
 
 from conftest import (
@@ -45,6 +50,11 @@ def test_ball_elements_are_distinct_reduced_loops(pslz):
         assert w.is_loop() and w.start == "u" and w == w.reduce()
 
 
+def test_ball_rejects_an_unknown_vertex(pslz):
+    with pytest.raises(GogsepError, match="unknown vertex 'nowhere'"):
+        enumerate_ball_elements(pslz, "nowhere", 1)
+
+
 def test_ball_rejects_infinite_vertex_groups(z2):
     with pytest.raises(UnboundedEnumeration):
         enumerate_ball_elements(z2, "x", 2)
@@ -68,6 +78,12 @@ def test_brute_member_settles_small_cases(pslz):
     assert brute_member(pslz, "u", gens, ab.inverse())
     assert brute_member(pslz, "u", gens, pslz.identity_word("u"))
     assert not brute_member(pslz, "u", gens, W(pslz, "u", "a"))
+
+
+def test_brute_member_rejects_a_word_that_is_not_a_loop_at_the_base(pslz):
+    gens = [W(pslz, "u", "a")]
+    assert not brute_member(pslz, "u", gens, W(pslz, "u", "1", "e", "b"))
+    assert not brute_member(pslz, "w", gens, W(pslz, "u", "a"))
 
 
 def test_brute_member_matches_immersion_on_ball(dinfty):
@@ -147,6 +163,82 @@ def test_ball_map_flags_broken_decorations(pslz):
     bad = remake(m, delta={**m.delta, "c1_1": m.delta["~c1_2"]})
     report = ball_map_check(bad, 2)
     assert not report.ok
+
+
+def _collide(m, v, f):
+    """m with the second lift of f at v given the first one's delta, so the
+    two lifts share a coset: still the ball sizes of a cover, not one."""
+    first, second = sorted(
+        e for e in m.domain.graph.edges_at(v) if m.edge_map[e] == f
+    )[:2]
+    return remake(m, delta={**m.delta, second: m.delta[first]})
+
+
+def _trivial_cover(pslz):
+    """The degree-2 cover of PSL(2,Z) with trivial subgroup at its base v0,
+    which has two lifts of e; their ends carry all of C3."""
+    cover = complete_to_cover(fold(wedge(pslz, "u", [])), seed=0)
+    assert (cover.domain.base, cover.vertex_map["v0"]) == ("v0", "u")
+    return cover
+
+
+def test_ball_map_reports_a_cover_sized_map_that_is_not_onto(pslz):
+    bad = _collide(_trivial_cover(pslz), "v0", "e")
+    report = ball_map_check(bad, 1, expect_cover=True)
+    assert [v["kind"] for v in report.violations] == ["not-injective", "not-onto"]
+
+
+def test_ball_map_reports_a_tree_image_that_backtracks(pslz):
+    """Out of v0 by one lift of e, back by its reverse under a nontrivial
+    letter of C3, and out by the other lift: a reduced domain path, but the
+    colliding lifts map it to one that backtracks."""
+    bad = _collide(_trivial_cover(pslz), "v0", "e")
+    report = ball_map_check(bad, 3)
+    backtracks = [v for v in report.violations if v["kind"] == "backtrack"]
+    assert backtracks
+    assert backtracks[0]["detail"].startswith("tree image backtracks along")
+
+
+def test_ball_map_starts_a_domain_without_a_base_at_its_least_vertex(pslz):
+    unbased = GraphOfGroups(pslz.graph, pslz.vertex_group)
+    m = remake(identity_morphism(pslz), domain=unbased)
+    assert unbased.base is None
+    assert ball_map_check(m, 2, expect_cover=True).ok
+
+
+def test_ball_map_rejects_a_subgroup_without_members(pslz):
+    m = identity_morphism(pslz)
+    bad = object.__new__(type(m))  # skips the constructor's validation
+    bad.__dict__.update(m.__dict__, vgroup_image={**m.vgroup_image, "w": object()})
+    with pytest.raises(UnboundedEnumeration, match="subgroup at 'w' is not finite"):
+        ball_map_check(bad, 1)
+
+
+# -- the cover-fed enumeration -------------------------------------------------
+
+
+def test_schreier_index_rejects_an_unknown_base(pslz):
+    with pytest.raises(GogsepError, match="unknown vertex 'nowhere'"):
+        _schreier_index(identity_morphism(pslz), "nowhere", 100)
+
+
+def test_schreier_index_checks_the_ends_of_an_edge_whose_word_it_has_seen():
+    """Each distinct (image, delta, reverse delta) is translated once per
+    call, but every edge's ends are still checked: here the non-tree edge f
+    claims the image ~e, whose word the tree step ~e numbered first, yet
+    runs from u to w."""
+    g = Graph()
+    g.add_vertex("u")
+    g.add_vertex("w")
+    g.add_edge("e", "u", "w")
+    g.add_edge("f", "u", "w")
+    trivial = FiniteGroup.cyclic(1, name="C1")
+    m = identity_morphism(GraphOfGroups(g, {"u": trivial, "w": trivial}))
+    assert _schreier_index(m, "w", 100) == 1
+    bad = object.__new__(type(m))  # skips the constructor's validation
+    bad.__dict__.update(m.__dict__, edge_map={**m.edge_map, "f": "~e", "~f": "e"})
+    with pytest.raises(GogsepError, match="image '~e' of 'f' does not run 'u' to 'w'"):
+        _schreier_index(bad, "w", 100)
 
 
 # -- Schreier loops ----------------------------------------------------------
