@@ -15,7 +15,6 @@ from .oracles import (
     SubgroupHandle,
     VertexGroup,
     oracle_from_json,
-    subgroup_generate,
 )
 from .morphism import (
     CheckReport,
@@ -76,7 +75,6 @@ __all__ = [
     "SubgroupHandle",
     "VertexGroup",
     "oracle_from_json",
-    "subgroup_generate",
     "CheckReport",
     "DecoratedMorphism",
     "LiftOutcome",

@@ -57,8 +57,8 @@ def complete_to_cover(
     if d > DEGREE_CAP:
         raise UnboundedEnumeration(f"cover degree would pass {DEGREE_CAP}")
 
-    work = _Working.of(m)
-    fresh_vertex = fresh_names(m.domain.graph.vertices)
+    w = _Working.of(m)
+    fresh_vertex, fresh_edge = fresh_names(w.out), fresh_names(w.iota)
     padding = []
     for u in sorted(tgt.vertices):
         for _ in range(d - degrees[u]):
@@ -66,7 +66,7 @@ def complete_to_cover(
             padding.append((z, u))
             fibers[u].append(z)
     for z, u in sorted(padding):  # after the old vertices, in sorted order
-        work.add_vertex(z, u, m.target.group_at(u).full_subgroup())
+        w.add_vertex(z, u, m.target.group_at(u).full_subgroup())
 
     # One slot table per target vertex: {(vertex, coset key): coset rep}
     # over its fiber, vertices sorted and each one's reps by sort_key.
@@ -74,7 +74,7 @@ def complete_to_cover(
     for u, fiber in fibers.items():
         table = tables[u] = {}
         for v in sorted(fiber):
-            handle = work.vgroup_image[v]
+            handle = w.vgroup_image[v]
             for r in sorted(handle.coset_reps(), key=handle.group.sort_key):
                 table[(v, handle.coset_key(r))] = r
     # Each lift claims its slot in the cover check's keyed pass (at finite
@@ -85,7 +85,6 @@ def complete_to_cover(
             claims.setdefault(f, set()).add((v, key))
             if len(bucket) > 1:
                 collided.add(f)
-    fresh_edge = fresh_names(m.domain.graph.edge_pairs())
     pairs = {}
     for f in tgt.edge_pairs():
         back = tgt._rev[f]
@@ -98,7 +97,7 @@ def complete_to_cover(
         free_r = [(s[0], r) for s, r in right.items() if s not in taken_r]
         if seed is not None:
             random.Random(f"{seed}|{f}").shuffle(free_r)
-        for (v, lrep), (w, rrep) in zip(free_l, free_r):
-            pairs[fresh_edge("n")] = (v, w, f, lrep, rrep)
-    work.add_pairs(pairs)
-    return work.freeze()
+        for (v, lrep), (x, rrep) in zip(free_l, free_r):
+            pairs[fresh_edge("n")] = (v, x, f, lrep, rrep)
+    w.add_pairs(pairs)
+    return w.freeze()

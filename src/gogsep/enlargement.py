@@ -11,10 +11,11 @@ to the original one verbatim.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 from .errors import NotAnImmersion
-from .morphism import DecoratedMorphism, _Working, lifts_by_coset, lifts_by_edge
+from .morphism import DecoratedMorphism, first_clash
 
 __all__ = ["exclusion_sets", "enlarge"]
 
@@ -28,26 +29,21 @@ def exclusion_sets(m: DecoratedMorphism, extra: Optional[dict] = None) -> dict:
     caller-chosen elements (e.g. the non-member witness at the base).
     """
     extra = extra or {}
+    edge_map, delta = m.edge_map, m.delta
     out = {}
-    for v in m.domain.graph.vertices:
+    for v, edges in m.domain.graph._out.items():
         oracle = m.oracle_at(v)
-        handle = m.vgroup_image[v]
+        clash = first_clash(edges, edge_map, m.vgroup_image[v], delta)
+        if clash is not None:
+            a, b = clash
+            raise NotAnImmersion(
+                f"lifts {a!r}, {b!r} of {edge_map[a]!r} share a coset at {v!r}"
+            )
         seen = set()
-        by_edge = lifts_by_edge(m.domain.graph._out[v], m.edge_map)
-        for f in sorted(by_edge):
-            lifts = by_edge[f]
-            if len(lifts) < 2:
-                continue
-            for bucket in lifts_by_coset(handle, lifts, m.delta).values():
-                if len(bucket) > 1:
-                    raise NotAnImmersion(
-                        f"lifts {bucket[0]!r}, {bucket[1]!r} of {f!r} "
-                        f"share a coset at {v!r}"
-                    )
-            for a in lifts:
-                for b in lifts:
-                    if a != b:
-                        seen.add(oracle.mul(m.delta[a], oracle.inv(m.delta[b])))
+        for a in edges:
+            for b in edges:
+                if a != b and edge_map[a] == edge_map[b]:
+                    seen.add(oracle.mul(delta[a], oracle.inv(delta[b])))
         for x in extra.get(v, ()):
             oracle.check(x)
             seen.add(x)
@@ -61,10 +57,11 @@ def enlarge(m: DecoratedMorphism, extra: Optional[dict] = None) -> DecoratedMorp
     Each vertex subgroup grows to one that avoids its exclusion set
     (``exclusion_sets(m, extra)``), so distinct lifts stay in distinct
     cosets and the result is again an immersion through which the original
-    factors.  Graph, edge decorations and maps are untouched.
+    factors.  The result shares m's graph, edge decorations and maps.
     """
     exclusions = exclusion_sets(m, extra)
-    w = _Working.of(m)
-    for v in w.out:
-        w.vgroup_image[v] = m.vgroup_image[v].separate(exclusions[v])
-    return w.freeze()
+    big = copy.copy(m)
+    big.vgroup_image = {
+        v: m.vgroup_image[v].separate(exclusions[v]) for v in m.domain.graph._out
+    }
+    return big

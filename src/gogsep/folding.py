@@ -15,14 +15,7 @@ from typing import Sequence
 
 from .core import GraphOfGroups, Word
 from .errors import EndpointMismatch, GogsepError, NotACover
-from .morphism import (
-    DecoratedMorphism,
-    _Working,
-    check_cover,
-    lifts_by_coset,
-    lifts_by_edge,
-)
-from .oracles import subgroup_generate
+from .morphism import DecoratedMorphism, _Working, check_cover, first_clash
 
 __all__ = [
     "wedge",
@@ -80,28 +73,8 @@ def wedge(
             pairs[f"c{k}_{i}"] = (prev, v, f, letters[i - 1], d_bar)
             prev = v
     w.add_pairs(pairs)
-    w.vgroup_image[base] = subgroup_generate(groups[u0], base_letters)
+    w.vgroup_image[base] = groups[u0].subgroup(base_letters)
     return w.freeze()
-
-
-def _find_fold(w: _Working, v: str):
-    """First pair of same-coset lifts at v, scanning edges in sorted order.
-
-    The pair is the least (i, j) in lift order: the first two members of
-    the first coset bucket that has two.
-    """
-    edges, edge_map = w.out[v], w.edge_map
-    if len({edge_map[e] for e in edges}) == len(edges):
-        return None  # one lift per target edge: no two can share a coset
-    handle = w.vgroup_image[v]
-    lifts = lifts_by_edge(edges, edge_map)
-    for f in sorted(lifts):
-        if len(lifts[f]) < 2:
-            continue
-        for bucket in lifts_by_coset(handle, lifts[f], w.delta).values():
-            if len(bucket) > 1:
-                return bucket[0], bucket[1]
-    return None
 
 
 def _fold_once(w: _Working, v: str, e1: str, e2: str) -> str:
@@ -123,9 +96,7 @@ def _fold_once(w: _Working, v: str, e1: str, e2: str) -> str:
     if x1 != x2:
         w.merge(x2, x1, t)
     elif not w.vgroup_image[x1].member(t):
-        w.vgroup_image[x1] = subgroup_generate(
-            oracle, tuple(w.vgroup_image[x1].generators) + (t,)
-        )
+        w.vgroup_image[x1] = oracle.subgroup(w.vgroup_image[x1].generators + (t,))
     return x1
 
 
@@ -144,7 +115,7 @@ def fold(m: DecoratedMorphism) -> DecoratedMorphism:
         queued.discard(v)
         if len(w.out.get(v, ())) < 2:
             continue
-        found = _find_fold(w, v)
+        found = first_clash(w.out[v], w.edge_map, w.vgroup_image[v], w.delta)
         if found is None:
             continue
         survivor = _fold_once(w, v, *found)
@@ -192,8 +163,8 @@ def trim_core(m: DecoratedMorphism) -> DecoratedMorphism:
 def kurosh_rank(m: DecoratedMorphism) -> int:
     """Graph rank of the domain plus its count of nontrivial vertex subgroups."""
     g = m.domain.graph
-    graph_rank = len(g.edge_pairs()) - len(g.vertices) + 1
-    heavy = sum(1 for v in g.vertices if not m.vgroup_image[v].is_trivial())
+    graph_rank = len(g._iota) // 2 - len(g._out) + 1
+    heavy = sum(1 for v in g._out if not m.vgroup_image[v].is_trivial())
     return graph_rank + heavy
 
 

@@ -65,20 +65,26 @@ def _convention(doc, path) -> str:
     return c
 
 
-def _edge_record(e, epath, vertices, ids):
-    """(id, from, to) of an edge record whose endpoints lie in ``vertices``;
-    the id must be new to ``ids``, the edges read so far."""
+def _edge_record(e, path, i, vertices, ids):
+    """(id, from, to) of the edge record ``{path}.edges[i]``, whose endpoints
+    must lie in ``vertices`` and whose id must be new to ``ids``, the edges
+    read so far.  Each field is read with ``dict.get`` and a type test;
+    ``_expect`` runs, and the record's path is built, only to raise."""
     if not isinstance(e, dict):
-        raise SchemaError(epath, "edge must be an object")
-    eid = _expect(e, "id", str, epath)
-    if not eid or eid.startswith("~"):
-        raise SchemaError(f"{epath}.id", f"bad edge id {eid!r}")
+        raise SchemaError(f"{path}.edges[{i}]", "edge must be an object")
+    eid, frm, to = e.get("id"), e.get("from"), e.get("to")
+    if not isinstance(eid, str):
+        _expect(e, "id", str, f"{path}.edges[{i}]")
+    if not eid or eid[0] == "~":
+        raise SchemaError(f"{path}.edges[{i}].id", f"bad edge id {eid!r}")
     if eid in ids:
-        raise SchemaError(f"{epath}.id", f"duplicate edge {eid!r}")
-    frm = _expect(e, "from", str, epath)
-    to = _expect(e, "to", str, epath)
+        raise SchemaError(f"{path}.edges[{i}].id", f"duplicate edge {eid!r}")
+    if not isinstance(frm, str):
+        _expect(e, "from", str, f"{path}.edges[{i}]")
+    if not isinstance(to, str):
+        _expect(e, "to", str, f"{path}.edges[{i}]")
     if frm not in vertices or to not in vertices:
-        raise SchemaError(epath, f"endpoint of {eid!r} is not a vertex")
+        raise SchemaError(f"{path}.edges[{i}]", f"endpoint of {eid!r} is not a vertex")
     return eid, frm, to
 
 
@@ -117,7 +123,7 @@ def gog_from_json(doc, path="$", max_order=64) -> GraphOfGroups:
             vertices[v], path=f"{path}.vertices.{v}", max_order=max_order
         )
     for i, e in enumerate(_expect(doc, "edges", list, path)):
-        graph.add_edge(*_edge_record(e, f"{path}.edges[{i}]", oracles, graph._iota))
+        graph.add_edge(*_edge_record(e, path, i, oracles, graph._iota))
     base = _expect(doc, "base", str, path, optional=True)
     if base is not None and base not in oracles:
         raise SchemaError(f"{path}.base", f"unknown vertex {base!r}")
@@ -267,21 +273,8 @@ def _domain_from_json(
         _expect(doc, "edges", list, path)
     pairs = {}
     for i, e in enumerate(edges):
-        if not isinstance(e, dict):
-            raise SchemaError(f"{path}.edges[{i}]", "edge must be an object")
-        eid, frm, to, f = e.get("id"), e.get("from"), e.get("to"), e.get("onto")
-        if not isinstance(eid, str):
-            _expect(e, "id", str, f"{path}.edges[{i}]")
-        if not eid or eid[0] == "~":
-            raise SchemaError(f"{path}.edges[{i}].id", f"bad edge id {eid!r}")
-        if eid in pairs:
-            raise SchemaError(f"{path}.edges[{i}].id", f"duplicate edge {eid!r}")
-        if not isinstance(frm, str):
-            _expect(e, "from", str, f"{path}.edges[{i}]")
-        if not isinstance(to, str):
-            _expect(e, "to", str, f"{path}.edges[{i}]")
-        if frm not in vertex_map or to not in vertex_map:
-            raise SchemaError(f"{path}.edges[{i}]", f"endpoint of {eid!r} is not a vertex")
+        eid, frm, to = _edge_record(e, path, i, vertex_map, pairs)
+        f = e.get("onto")
         if not isinstance(f, str):
             _expect(e, "onto", str, f"{path}.edges[{i}]")
         f_bar = t_rev.get(f)

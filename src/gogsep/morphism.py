@@ -28,7 +28,7 @@ from .errors import (
     InfiniteIndexVertex,
     NotAnImmersion,
 )
-from .oracles import SubgroupHandle, subgroup_generate
+from .oracles import SubgroupHandle
 
 __all__ = [
     "DecoratedMorphism",
@@ -120,14 +120,16 @@ class _Working:
     """A morphism's data opened for editing in place, then frozen once.
 
     The stages that reshape a morphism and the JSON readers build on this
-    copy, and ``freeze`` hands its tables over unchecked.  The methods keep
-    the graph's layout: ``add_pairs`` writes both directions of each pair,
-    ``iota`` and ``rev`` always hold e exactly when they hold ~e, and every
-    out-list stays sorted by id.  The callers keep the rest of what
-    ``DecoratedMorphism.validate`` tests: each edge's image runs under it
-    with a delta in the oracle at its start, each vertex carries a handle
-    in its image's group, and the domain stays connected (the readers
-    check that after ``freeze``).
+    copy, and ``freeze`` hands its tables over unchecked.  A frozen
+    morphism's tables may be shared (``enlarge`` keeps its input's graph
+    and maps), so edit one only through ``_Working.of``, which copies them.
+    The methods keep the graph's layout: ``add_pairs`` writes both
+    directions of each pair, ``iota`` and ``rev`` always hold e exactly
+    when they hold ~e, and every out-list stays sorted by id.  The callers
+    keep the rest of what ``DecoratedMorphism.validate`` tests: each vertex
+    added is new and carries a handle in its image's group, each edge's
+    image runs under it with a delta in the oracle at its start, and the
+    domain stays connected (the readers check that after ``freeze``).
     """
 
     def __init__(self, target: GraphOfGroups, base: Optional[str] = None):
@@ -156,8 +158,6 @@ class _Working:
         return self.target.group_at(self.vertex_map[v])
 
     def add_vertex(self, v: str, u: str, handle):
-        if v in self.out:
-            raise GogsepError(f"duplicate vertex {v!r}")
         self.out[v] = []
         self.vertex_map[v] = u
         self.vgroup_image[v] = handle
@@ -203,10 +203,9 @@ class _Working:
         self.out[x1] = sorted(self.out[x1] + moved)
         gens = self.vgroup_image.pop(x2).generators
         if gens:
-            self.vgroup_image[x1] = subgroup_generate(
-                oracle,
+            self.vgroup_image[x1] = oracle.subgroup(
                 self.vgroup_image[x1].generators
-                + tuple(oracle.conjugate(t, s) for s in gens),
+                + tuple(oracle.conjugate(t, s) for s in gens)
             )
         del self.vertex_map[x2]
 
@@ -268,17 +267,27 @@ def lifts_by_edge(edges, edge_map) -> dict:
     return lifts
 
 
-def lifts_by_coset(handle: SubgroupHandle, lifts, delta) -> dict:
-    """``lifts`` grouped by the right coset handle * delta[e], keyed by it.
+def first_clash(edges, edge_map, handle: SubgroupHandle, delta):
+    """The least pair of ``edges`` over one target edge in one right coset
+    handle * delta[e], or None.
 
-    Buckets are listed in order of their first member, and members in
-    ``lifts`` order, so the first two members of the first bucket with two
-    are the least such pair.
+    Target edges are taken in sorted order; each one's lifts are grouped by
+    coset in ``edges`` order, and the first two members of the first group
+    (by first member) with two are returned.
     """
-    buckets = {}
-    for e in lifts:
-        buckets.setdefault(handle.coset_key(delta[e]), []).append(e)
-    return buckets
+    if len({edge_map[e] for e in edges}) == len(edges):
+        return None  # one lift per target edge: no two can share a coset
+    lifts = lifts_by_edge(edges, edge_map)
+    for f in sorted(lifts):
+        if len(lifts[f]) < 2:
+            continue
+        buckets = {}
+        for e in lifts[f]:
+            buckets.setdefault(handle.coset_key(delta[e]), []).append(e)
+        for bucket in buckets.values():
+            if len(bucket) > 1:
+                return bucket[0], bucket[1]
+    return None
 
 
 def _coset_slots(m: DecoratedMorphism) -> dict:

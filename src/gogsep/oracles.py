@@ -48,7 +48,6 @@ __all__ = [
     "IntGroup",
     "FreeGroup",
     "SubgroupHandle",
-    "subgroup_generate",
 ]
 
 
@@ -167,11 +166,6 @@ class SubgroupHandle:
     def _overgroup(self, excluded) -> "SubgroupHandle":
         """``separate`` once no excluded element lies in S."""
         raise NotImplementedError
-
-    def conjugated(self, t) -> "SubgroupHandle":
-        """The subgroup t * S * t^-1."""
-        g = self.group
-        return g.subgroup([g.conjugate(t, x) for x in self.generators])
 
     def describe(self) -> str:
         gens = ", ".join(self.group.format_element(g) for g in self.generators)
@@ -828,11 +822,6 @@ class FreeSubgroup(SubgroupHandle):
 
 # ---------------------------------------------------------------------------
 # module-level constructors
-
-
-def subgroup_generate(oracle: VertexGroup, generators) -> SubgroupHandle:
-    """Canonical subgroup handle for the subgroup generated by ``generators``."""
-    return oracle.subgroup(generators)
 
 
 def oracle_from_json(doc, path="$", max_order=64) -> VertexGroup:

@@ -85,8 +85,7 @@ def attach_separating_path(m: DecoratedMorphism, u0: str, g: Word):
 
     i = outcome.consumed
     w = _Working.of(m)
-    fresh_vertex = fresh_names(w.out)
-    fresh_edge = fresh_names(m.domain.graph.edge_pairs())
+    fresh_vertex, fresh_edge = fresh_names(w.out), fresh_names(w.iota)
     prev = outcome.vertex
     hair = {}
     for j in range(i, g.n):

@@ -181,7 +181,7 @@ class _CosetTable:
         return b
 
     def merge(self):
-        find, rows, inv, pending = self.find, self.rows, self.inv, self.pending
+        find, rows, pending = self.find, self.rows, self.pending
         while pending:
             a, b = pending.popleft()
             a, b = find(a), find(b)
@@ -197,12 +197,10 @@ class _CosetTable:
                 t = find(t)
                 cur = rows[keep][s]
                 if cur is None:
+                    # t·s⁻¹ already meets dead, and so keep, through the
+                    # queued coincidences, or will once this loop reaches
+                    # dead's own s⁻¹ entry: nothing to queue for it.
                     rows[keep][s] = t
-                    # Every entry has its inverse entry, so t·s⁻¹ is set, or
-                    # t is keep and dead's own s⁻¹ entry is moved later on.
-                    back = rows[t][inv[s]]
-                    if back is not None and find(back) != keep:
-                        pending.append((back, keep))
                 elif find(cur) != t:
                     pending.append((cur, t))
 

@@ -36,7 +36,7 @@ from gogsep.errors import (
 )
 from gogsep.jsonio import _expect
 from gogsep.morphism import _Working, lifts_by_edge
-from gogsep.oracles import FiniteSubgroup, FreeSubgroup, IntSubgroup, subgroup_generate
+from gogsep.oracles import FiniteSubgroup, FreeSubgroup, IntSubgroup
 from gogsep.verifier import _enumerate, _presentation
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -349,7 +349,7 @@ def reference_wedge(target, u0, gens):
                 oracle.inv(g.groups[g.n]) if i == g.n else oracle.identity(),
             )
             prev = v
-    w.vgroup_image[base] = subgroup_generate(target.group_at(u0), base_letters)
+    w.vgroup_image[base] = target.group_at(u0).subgroup(base_letters)
     return w.freeze()
 
 
@@ -432,7 +432,7 @@ def reference_domain_from_json(target, doc, convention, path):
                 gens.append(oracle.parse_element(item))
             except ForeignElement as exc:
                 raise SchemaError(f"{vpath}.subgroup[{i}]", str(exc)) from exc
-        w.add_vertex(v, u, subgroup_generate(oracle, gens))
+        w.add_vertex(v, u, oracle.subgroup(gens))
     ids = set()
     for i, e in enumerate(_expect(doc, "edges", list, path)):
         epath = f"{path}.edges[{i}]"

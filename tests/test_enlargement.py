@@ -35,6 +35,22 @@ def test_exclusion_sets_reject_non_immersions(pslz):
         exclusion_sets(wedge(pslz, "u", [g, g]))
 
 
+def test_non_immersions_are_rejected_naming_the_least_clashing_pair(pslz):
+    # Every lift at v0 runs over e; in out-list order they carry deltas
+    # 1 (c1_1), a (c2_1), a (~c1_2) and a (~c2_2), so the first coset with
+    # two lifts is a's, and its first two lifts are the least pair.
+    gens = [
+        W(pslz, "u", "1", "e", "b", "~e", "a"),
+        W(pslz, "u", "a", "e", "b", "~e", "a"),
+    ]
+    m = wedge(pslz, "u", gens)
+    message = "lifts 'c2_1', '~c1_2' of 'e' share a coset at 'v0'"
+    for reject in (exclusion_sets, enlarge):
+        with pytest.raises(NotAnImmersion) as info:
+            reject(m)
+        assert str(info.value) == message
+
+
 def test_enlarge_finite_vertices_is_identity(pslz):
     m = fold(wedge(pslz, "u", [W(pslz, "u", "a", "e", "b", "~e", "1")]))
     big = enlarge(m)

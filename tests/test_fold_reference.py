@@ -23,7 +23,6 @@ from gogsep import (
     fold,
     wedge,
 )
-from gogsep.oracles import subgroup_generate
 
 from conftest import (
     assert_well_built,
@@ -110,13 +109,13 @@ def _ref_fold_once(m, v, e1, e2):
 
     new_vgroup = {w: h for w, h in m.vgroup_image.items() if not (merged and w == x2)}
     if merged:
-        moved = m.vgroup_image[x2].conjugated(t)
-        new_vgroup[x1] = subgroup_generate(
-            far_oracle, tuple(m.vgroup_image[x1].generators) + tuple(moved.generators)
+        moved = [far_oracle.conjugate(t, s) for s in m.vgroup_image[x2].generators]
+        new_vgroup[x1] = far_oracle.subgroup(
+            tuple(m.vgroup_image[x1].generators) + tuple(moved)
         )
     elif not m.vgroup_image[x1].member(t):
-        new_vgroup[x1] = subgroup_generate(
-            far_oracle, tuple(m.vgroup_image[x1].generators) + (t,)
+        new_vgroup[x1] = far_oracle.subgroup(
+            tuple(m.vgroup_image[x1].generators) + (t,)
         )
 
     new_vertex_map = {w: u for w, u in m.vertex_map.items() if not (merged and w == x2)}

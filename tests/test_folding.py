@@ -22,7 +22,7 @@ from gogsep import (
     wedge,
 )
 from gogsep.errors import EndpointMismatch, GogsepError, NotACover
-import gogsep.folding
+import gogsep.morphism
 from gogsep.morphism import _Working, lifts_by_edge
 
 from conftest import (
@@ -79,6 +79,10 @@ def test_wedge_rejects_bad_generators(pslz):
         wedge(pslz, "u", [W(pslz, "u", "1", "e", "1")])
     with pytest.raises(GogsepError):
         wedge(pslz, "zz", [])
+    other = make_pslz()  # equal to pslz, but another graph of groups
+    good, foreign = W(pslz, "u", "a"), W(other, "u", "a")
+    with pytest.raises(GogsepError, match="^generator 2 does not live on the target$"):
+        wedge(pslz, "u", [good, foreign])
 
 
 WEDGE_TARGETS = {
@@ -168,7 +172,7 @@ def test_fold_of_a_wedge_groups_lifts_only_where_two_share_a_target_edge(
         grouped.append([edge_map[e] for e in edges])
         return lifts_by_edge(edges, edge_map)
 
-    monkeypatch.setattr(gogsep.folding, "lifts_by_edge", recording)
+    monkeypatch.setattr(gogsep.morphism, "lifts_by_edge", recording)
     fold(m)
     assert grouped
     assert all(len(set(images)) < len(images) for images in grouped)

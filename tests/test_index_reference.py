@@ -30,8 +30,8 @@ from gogsep import (
     wedge,
 )
 from gogsep.errors import GogsepError
-from gogsep.folding import _find_fold, _fold_once, trim_core
-from gogsep.morphism import _lift, _Working
+from gogsep.folding import _fold_once, trim_core
+from gogsep.morphism import _lift, _Working, first_clash
 
 from conftest import gen_corpus, make_f2c2, make_pslz, make_z2, scan_lift
 
@@ -210,7 +210,8 @@ def test_fold_pairs_and_violations_match_the_pairwise_scan(name, seed, count):
         assert check_immersion(m).violations == violations
         w = _Working.of(m)
         for v, found in pairs.items():
-            assert _find_fold(w, v) == (found[0][1:] if found else None)
+            clash = first_clash(w.out[v], w.edge_map, w.vgroup_image[v], w.delta)
+            assert clash == (found[0][1:] if found else None)
         folding = [v for v in sorted(m.domain.graph.vertices) if pairs[v]]
         if not folding:
             break

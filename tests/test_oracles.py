@@ -9,7 +9,6 @@ from gogsep import (
     FreeGroup,
     IntGroup,
     oracle_from_json,
-    subgroup_generate,
 )
 from gogsep import oracles
 from gogsep.errors import (
@@ -107,7 +106,7 @@ def test_cyclic_checks_the_cap_before_building_its_table(monkeypatch):
 
 def test_finite_subgroup_closure_and_cosets():
     g = FiniteGroup.cyclic(6, "a")
-    h = subgroup_generate(g, ["a2"])
+    h = g.subgroup(["a2"])
     assert sorted(h.members) == ["1", "a2", "a4"]
     assert h.index() == 2
     reps = h.coset_reps()
@@ -119,7 +118,7 @@ def test_finite_subgroup_closure_and_cosets():
 
 def test_finite_separate_is_identity_or_fails():
     g = FiniteGroup.cyclic(6, "a")
-    h = subgroup_generate(g, ["a2"])
+    h = g.subgroup(["a2"])
     assert h.separate(["a"]) is h
     with pytest.raises(NotSeparated):
         h.separate(["a4"])
@@ -127,9 +126,10 @@ def test_finite_separate_is_identity_or_fails():
 
 def test_finite_conjugated_subgroup():
     g = FiniteGroup.cyclic(6, "a")
-    h = subgroup_generate(g, ["a3"])
+    h = g.subgroup(["a3"])
     # abelian: conjugation fixes the subgroup
-    assert canonical_key(h.conjugated("a")) == canonical_key(h)
+    conjugated = g.subgroup([g.conjugate("a", x) for x in h.generators])
+    assert canonical_key(conjugated) == canonical_key(h)
 
 
 # -- integer kind ------------------------------------------------------------
@@ -137,12 +137,12 @@ def test_finite_conjugated_subgroup():
 
 def test_int_subgroup_gcd_and_cosets():
     g = IntGroup()
-    h = subgroup_generate(g, [6, 10])
+    h = g.subgroup([6, 10])
     assert h.modulus == 2
     assert h.member(-4) and not h.member(3)
     assert h.coset_reps() == [0, 1]
     assert h.coset_key(-3) == 1
-    triv = subgroup_generate(g, [])
+    triv = g.subgroup([])
     assert triv.index() is None
     with pytest.raises(InfiniteIndex):
         triv.coset_reps()
@@ -150,14 +150,14 @@ def test_int_subgroup_gcd_and_cosets():
 
 def test_int_separate_picks_the_least_modulus_that_separates():
     g = IntGroup()
-    triv = subgroup_generate(g, [])
+    triv = g.subgroup([])
     k = triv.separate([3, -5])
     assert k.modulus == 2
     assert not any(k.member(x) for x in (3, -5))
     assert triv.separate([]).index() == 1
     assert triv.separate([6, -10, 15]).modulus == 4
     assert triv.separate([10**12]).index() == 3
-    h = subgroup_generate(g, [4])
+    h = g.subgroup([4])
     assert h.separate([2]) is h
     with pytest.raises(NotSeparated):
         h.separate([8])
@@ -242,23 +242,23 @@ def test_free_mul_reduces():
 
 def test_free_subgroup_membership_and_index():
     g = FreeGroup(2)
-    h = subgroup_generate(g, [(1, 1)])  # <x^2>
+    h = g.subgroup([(1, 1)])  # <x^2>
     assert h.member((1, 1)) and h.member((-1, -1, -1, -1))
     assert not h.member((1,))
     assert h.index() is None
-    full = subgroup_generate(g, [(1,), (2,)])
+    full = g.subgroup([(1,), (2,)])
     assert full.index() == 1
 
 
 def test_free_separate_builds_finite_index_overgroup():
     g = FreeGroup(2)
-    h = subgroup_generate(g, [(1, 1)])
+    h = g.subgroup([(1, 1)])
     k = h.separate([(1,)])
     assert k.index() is not None
     assert k.member((1, 1))
     assert not k.member((1,))
     # conjugate generator, exclude the conjugated-away element
-    h2 = subgroup_generate(g, [(1, 2, -1)])
+    h2 = g.subgroup([(1, 2, -1)])
     k2 = h2.separate([(2,)])
     assert k2.member((1, 2, -1)) and not k2.member((2,))
     assert k2.index() is not None
@@ -286,10 +286,10 @@ def free_separations(draw):
 def test_free_separate_equals_a_refold_of_its_generators(case):
     rank, gens, excluded = case
     g = FreeGroup(rank)
-    h = subgroup_generate(g, gens)
+    h = g.subgroup(gens)
     excluded = [x for x in excluded if not h.member(x)]
     k = h.separate(excluded)
-    refold = subgroup_generate(g, k.generators)
+    refold = g.subgroup(k.generators)
     assert (k.rows, k.generators) == (refold.rows, refold.generators)
     assert canonical_key(k) == canonical_key(refold)
     assert k.index() is not None
@@ -299,7 +299,7 @@ def test_free_separate_equals_a_refold_of_its_generators(case):
 def test_free_schreier_index_formula():
     g = FreeGroup(2)
     # index-2 subgroup <x^2, y, xyx^-1>: rank 3 by Nielsen-Schreier
-    h = subgroup_generate(g, [(1, 1), (2,), (1, 2, -1)])
+    h = g.subgroup([(1, 1), (2,), (1, 2, -1)])
     assert h.index() == 2
     assert len(h.coset_reps()) == 2
     assert h.coset_key((1, 2)) == h.coset_key((1,))
@@ -307,10 +307,10 @@ def test_free_schreier_index_formula():
 
 def test_free_canonical_key_is_presentation_independent():
     g = FreeGroup(2)
-    a = subgroup_generate(g, [(1,)])
-    b = subgroup_generate(g, [(-1,)])
+    a = g.subgroup([(1,)])
+    b = g.subgroup([(-1,)])
     assert canonical_key(a) == canonical_key(b)
-    c = subgroup_generate(g, [(2,)])
+    c = g.subgroup([(2,)])
     assert canonical_key(a) != canonical_key(c)
 
 
@@ -414,7 +414,7 @@ def test_coset_key_equal_exactly_on_right_cosets(name):
     compares g's key with the identity's, is membership, by references that
     use no coset key."""
     group, gens, bound = COSET_KEY_CASES[name]
-    h = subgroup_generate(group, gens)
+    h = group.subgroup(gens)
     member = _reference_member(h, gens)
     elements = _elements_within(group, bound)
     keys = {a: h.coset_key(a) for a in elements}
@@ -441,7 +441,7 @@ def test_subgroup_kinds_implement_only_coset_key():
 
 
 def test_free_coset_key_reads_off_the_core():
-    h = subgroup_generate(FreeGroup(2), [(1, 1)])  # <x1^2>: a 2-state core
+    h = FreeGroup(2).subgroup([(1, 1)])  # <x1^2>: a 2-state core
     assert h.coset_key((1, 1, 1)) == h.coset_key((1,)) == (1, ())
     assert h.coset_key((1, 2, -1)) == (1, (2, -1))  # leaves the core at x2
     assert h.coset_key((1, 1, 2)) == h.coset_key((2,)) == (0, (2,))

@@ -3,24 +3,31 @@
 The stages freeze their working copy without validating it, rebuilding
 its graph or checking connectivity (see ``morphism._Working``).  These
 tests run each stage along ``separate_element``'s path and check its
-output with ``assert_well_built``.
+output with ``assert_well_built``, and check that no stage changes its
+input, whose tables a later stage's output may share.
 """
 
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gogsep import (
     attach_separating_path,
     complete_to_cover,
     enlarge,
     fold,
+    subgroup_member,
     trim_core,
     wedge,
 )
+from gogsep.jsonio import morphism_to_json
 from gogsep.morphism import _Working
 
-from conftest import W, assert_well_built, make_pslz
+from conftest import W, assert_well_built, gen_corpus, make_pslz, random_loop
 from test_golden import GOLDEN
-from test_index_reference import _over_petal
+from test_index_reference import TARGETS, _over_petal
 
 
 def _pslz_ab(*g):
@@ -55,6 +62,40 @@ def test_every_stage_output_is_well_built(name):
             assert_well_built(m)
         except Exception as exc:
             raise AssertionError(f"{name}: {stage} output is broken") from exc
+
+
+def _assert_stages_keep_their_inputs(target, u0, gens, g):
+    def run(stage, m, *args):
+        before = morphism_to_json(m)
+        out = stage(m, *args)
+        assert morphism_to_json(m) == before, f"{stage.__name__} changed its input"
+        return out
+
+    def complete_enlarged(m, extra):
+        return complete_to_cover(enlarge(m, extra), seed=0)
+
+    m = run(fold, wedge(target, u0, gens))
+    m, status = run(attach_separating_path, m, m.domain.base, g)
+    extra = {m.domain.base: [status[1]]} if status[0] == "loop" else None
+    run(enlarge, m, extra)
+    run(complete_enlarged, m, extra)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_stage_changes_its_input(name):
+    _assert_stages_keep_their_inputs(*CASES[name]())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(TARGETS)), st.integers(0, 10**6), st.integers(1, 3))
+def test_no_stage_changes_its_input_on_random_inputs(name, seed, count):
+    make, u0, bound = TARGETS[name]
+    target = make()
+    rng = random.Random(seed)
+    gens = gen_corpus(target, u0, rng, count, max_edges=3, letter_bound=bound)
+    g = random_loop(target, u0, rng, max_edges=4, letter_bound=bound)
+    assume(not subgroup_member(fold(wedge(target, u0, gens)), "v0", g))
+    _assert_stages_keep_their_inputs(target, u0, gens, g)
 
 
 def test_the_cases_graft_a_hair_and_pad_a_fiber():
